@@ -198,6 +198,8 @@ def one_sample_t(y, mu0=0.0, alternative="two-sided", alpha=0.05):
     n = y.shape[0]
     if n < 2:
         raise DesignError("one_sample_t needs at least two observations")
+    if not np.all(np.isfinite(y)):
+        raise DesignError("one_sample_t needs finite observations")
     s = float(np.std(y, ddof=1))
     if s == 0.0:
         raise NumericalError("zero sample variance")

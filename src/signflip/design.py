@@ -38,6 +38,8 @@ class DesignMatrix:
         object.__setattr__(self, "X", X)
         if X.ndim != 2:
             raise DesignError("design matrix must be two-dimensional")
+        if not np.all(np.isfinite(X)):
+            raise DesignError("design matrix has NaN or infinite entries")
         tested = tuple(int(j) for j in self.tested)
         if not tested:
             raise DesignError("at least one tested column is required")
@@ -51,11 +53,15 @@ class DesignMatrix:
             raise DesignError(
                 f"null_value has length {nv.size}, expected {len(tested)}"
             )
+        if not np.all(np.isfinite(nv)):
+            raise DesignError("null_value has NaN or infinite entries")
         object.__setattr__(self, "null_value", nv)
         off = self.offset
         off = np.zeros(X.shape[0]) if off is None else np.asarray(off, dtype=float)
         if off.shape != (X.shape[0],):
             raise DesignError("offset must be an n-vector")
+        if not np.all(np.isfinite(off)):
+            raise DesignError("offset has NaN or infinite entries")
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "columns", tuple(self.columns))
 
@@ -195,18 +201,18 @@ def build_design(table, tested, nuisance=(), intercept=True, null_value=None,
     k = X.shape[1]
     d = len(tested_labels)
 
-    Z = X[:, : k - d]
-    if Z.shape[1] and np.linalg.matrix_rank(Z) < Z.shape[1]:
-        raise DesignError("nuisance block (including intercept) is rank deficient")
-
     nv = np.zeros(d) if null_value is None else np.asarray(null_value, dtype=float)
-    return DesignMatrix(
+    design = DesignMatrix(
         X=X,
         columns=tuple(names),
         tested=tuple(range(k - d, k)),
         null_value=nv,
         offset=offset,
     )
+    Z = design.X_nuisance
+    if Z.shape[1] and np.linalg.matrix_rank(Z) < Z.shape[1]:
+        raise DesignError("nuisance block (including intercept) is rank deficient")
+    return design
 
 
 def read_csv(path):

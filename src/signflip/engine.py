@@ -11,6 +11,9 @@ conservative.  p-values count the identity flip, so they live in
 [1/w, 1] and p <= floor(alpha*w)/w agrees with the order-statistic rule
 whenever there are no ties.
 
+Signed sums read the bit-packed plan through 256-entry lookup tables,
+one per plan byte and tested column, so no dense sign matrix is formed.
+
 Effective scores subtract the information-weighted projection of the
 nuisance contributions, which removes the first-order effect of
 nuisance estimation on the flipped statistics.
@@ -38,7 +41,7 @@ __all__ = [
 ]
 
 ALTERNATIVES = ("greater", "less", "two-sided-abs", "two-sided-tails")
-_CHUNK = 1 << 17  # rows of the sign matrix converted to float at a time
+_CHUNK = 1 << 14  # plan rows summed per block
 
 
 @dataclass(frozen=True)
@@ -88,22 +91,58 @@ def effective_contributions(score_set):
     return EffectiveScores(nu_star=nu_star, projector=proj_t.T)
 
 
-def _signed_sums(signs, contribs):
-    """(w, d) matrix of signed column sums, chunked over flip rows.
+def _byte_tables(contribs):
+    """Signed partial sums of the contributions, per byte of a packed plan.
 
-    Chunks are position-addressed, so the result is bit-identical no
-    matter how the rows are partitioned.
+    Returns ``tab`` of shape (ceil(n/8), 256, d) with
+    ``tab[b, v] = sum_k (-1)^bit_k(v) * contribs[8b + k]``, the
+    contributions past n taken as zero.  Each nibble's 16 sums are built
+    by sign doubling, adding bit k's term to every entry in the same
+    order, and a byte's entry adds its two nibble sums.  Complementary
+    bytes therefore get exactly negated entries, and the complement of a
+    flip gets exactly the negated sum.
     """
-    w = signs.shape[0]
+    n, d = contribs.shape
+    nb = -(-n // 8)
+    padded = np.zeros((nb * 8, d))
+    padded[:n] = contribs
+    # terms[h, k] holds bit 4h + k's contribution for every byte and column
+    terms = padded.reshape(nb, 2, 4, d).transpose(1, 2, 0, 3).reshape(2, 4, nb * d)
+    nib = np.empty((16, 2, nb * d))
+    nib[0] = terms[:, 0]
+    np.negative(terms[:, 0], out=nib[1])
+    for k in range(1, 4):
+        h = 1 << k
+        np.subtract(nib[:h], terms[:, k], out=nib[h : 2 * h])
+        nib[:h] += terms[:, k]
+    tab = nib[:, None, 1] + nib[None, :, 0]  # [high, low] -> v = 16 high + low
+    return np.ascontiguousarray(tab.reshape(256, nb, d).transpose(1, 0, 2))
+
+
+def _signed_sums(signs, contribs):
+    """(w, d) signed column sums for a packed plan, by byte lookup tables.
+
+    Each row adds its bytes' table entries in byte order, one block of
+    rows at a time; a row's sum never depends on the others, so the
+    result is bit-identical no matter how the rows are partitioned.
+    """
+    tab = _byte_tables(contribs)
+    w, nb = signs.shape
     out = np.empty((w, contribs.shape[1]))
     for start in range(0, w, _CHUNK):
-        block = signs[start : start + _CHUNK]
-        out[start : start + _CHUNK] = block.astype(np.float64) @ contribs
+        by_byte = signs[start : start + _CHUNK].T
+        acc = out[start : start + _CHUNK]
+        np.take(tab[0], by_byte[0], axis=0, out=acc)
+        for b in range(1, nb):
+            acc += tab[b].take(by_byte[b], axis=0)
     return out
 
 
 def flip_statistics_scalar(contribs, plan):
-    """T_j = n^{-1/2} sum_i signs[j, i] * contribs[i] for every flip."""
+    """T_j = n^{-1/2} sum_i g_ji * contribs[i] for every flip j.
+
+    g_j is the +-1 sign vector of flip j, row j of ``plan.dense()``.
+    """
     contribs = np.asarray(contribs, dtype=float).reshape(-1)
     if contribs.shape[0] != plan.n:
         raise DesignError(

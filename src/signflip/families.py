@@ -203,6 +203,11 @@ class Binomial(Family):
 
     def validate_response(self, y):
         y = np.asarray(y)
+        if self.trials.ndim and self.trials.shape != y.shape:
+            raise DesignError(
+                f"binomial trials have shape {self.trials.shape}, "
+                f"response has shape {y.shape}"
+            )
         if np.any(y < 0) or np.any(y > self.trials) or np.any(y != np.floor(y)):
             raise DesignError("binomial response must be counts in [0, trials]")
 

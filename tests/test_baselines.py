@@ -51,6 +51,8 @@ def test_t_validation():
         one_sample_t(np.array([1.0]))
     with pytest.raises(NumericalError, match="zero sample variance"):
         one_sample_t(np.array([2.0, 2.0, 2.0]))
+    with pytest.raises(DesignError, match="finite"):
+        one_sample_t(np.array([1.0, np.nan, 2.0]))
 
 
 # ------------------------------------------------------------------ #

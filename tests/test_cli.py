@@ -75,6 +75,22 @@ def test_cmd_test_parametric_p_one_when_fit_is_exact(tmp_path, capsys):
     assert p > 1.0 - 1e-9
 
 
+def test_cmd_test_non_finite_covariate_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    rows = ["y,x,z"]
+    for i in range(20):
+        x = "nan" if i == 3 else f"{rng.normal():.17g}"
+        rows.append(f"{rng.normal():.17g},{x},{rng.normal():.17g}")
+    path = tmp_path / "nan.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rc = main([
+        "test", "--data", str(path), "--response", "y", "--tested", "x",
+        "--nuisance", "z", "--intercept", "--family", "gaussian",
+    ])
+    assert rc == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
 def test_cmd_test_json_roundtrip(warpbreaks_csv, capsys):
     args = [
         "test", "--data", warpbreaks_csv, "--response", "breaks",

@@ -112,3 +112,19 @@ def test_null_value_length_checked():
     x = np.arange(6.0)
     with pytest.raises(DesignError, match="null_value"):
         build_design({"x": x}, tested=["x"], null_value=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_covariates_and_offset_rejected(bad):
+    rng = np.random.default_rng(3)
+    x, z = rng.normal(size=12), rng.normal(size=12)
+    poisoned = x.copy()
+    poisoned[4] = bad
+    with pytest.raises(DesignError, match="NaN or infinite"):
+        build_design({"x": poisoned, "z": z}, tested=["x"], nuisance=["z"])
+    with pytest.raises(DesignError, match="NaN or infinite"):
+        build_design({"x": z, "z": poisoned}, tested=["x"], nuisance=["z"])
+    with pytest.raises(DesignError, match="NaN or infinite"):
+        build_design({"x": x}, tested=["x"], offset=poisoned)
+    with pytest.raises(DesignError, match="NaN or infinite"):
+        build_design({"x": x}, tested=["x"], null_value=[bad])

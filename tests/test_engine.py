@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from signflip import (
@@ -29,43 +31,43 @@ from oracles import oracle_p_greater, oracle_reject_greater
 # ------------------------------------------------------------------ #
 
 def test_exhaustive_plan_enumerates_all_sign_vectors():
-    plan = make_flip_plan(3, 8, mode="exhaustive")
-    assert plan.signs.shape == (8, 3)
-    assert_array_equal(plan.signs[0], [1, 1, 1])
-    assert len({tuple(row) for row in plan.signs}) == 8
-    assert set(np.unique(plan.signs)) == {-1, 1}
+    signs = make_flip_plan(3, 8, mode="exhaustive").dense()
+    assert signs.shape == (8, 3)
+    assert_array_equal(signs[0], [1, 1, 1])
+    assert len({tuple(row) for row in signs}) == 8
+    assert set(np.unique(signs)) == {-1, 1}
 
 
 def test_plan_determinism_across_calls():
     for mode in ("with-replacement", "without-replacement"):
         a = make_flip_plan(50, 200, mode=mode, seed=123)
         b = make_flip_plan(50, 200, mode=mode, seed=123)
-        assert_array_equal(a.signs, b.signs)
+        assert_array_equal(a.dense(), b.dense())
         c = make_flip_plan(50, 200, mode=mode, seed=124)
-        assert not np.array_equal(a.signs, c.signs)
+        assert not np.array_equal(a.dense(), c.dense())
 
 
 def test_plan_entry_means_concentrate():
     plan = make_flip_plan(50, 200, mode="with-replacement", seed=9)
     # binomial concentration for (w-1)*n iid signs
-    assert abs(plan.signs[1:].mean()) < 4.0 / np.sqrt(199 * 50)
+    assert abs(plan.dense()[1:].mean()) < 4.0 / np.sqrt(199 * 50)
 
 
 def test_without_replacement_rows_distinct_and_non_identity():
-    plan = make_flip_plan(6, 64, mode="without-replacement", seed=2)
-    rows = {tuple(r) for r in plan.signs}
+    signs = make_flip_plan(6, 64, mode="without-replacement", seed=2).dense()
+    rows = {tuple(r) for r in signs}
     assert len(rows) == 64
     assert tuple([1] * 6) in rows  # only as the first row
-    assert not any(np.all(r == 1) for r in plan.signs[1:])
+    assert not any(np.all(r == 1) for r in signs[1:])
 
 
 def test_without_replacement_large_n_path():
-    plan = make_flip_plan(30, 64, mode="without-replacement", seed=5)
-    rows = {tuple(r) for r in plan.signs}
+    signs = make_flip_plan(30, 64, mode="without-replacement", seed=5).dense()
+    rows = {tuple(r) for r in signs}
     assert len(rows) == 64
-    assert not any(np.all(r == 1) for r in plan.signs[1:])
+    assert not any(np.all(r == 1) for r in signs[1:])
     again = make_flip_plan(30, 64, mode="without-replacement", seed=5)
-    assert_array_equal(plan.signs, again.signs)
+    assert_array_equal(signs, again.dense())
 
 
 def test_plan_validation_errors():
@@ -81,11 +83,52 @@ def test_plan_validation_errors():
         make_flip_plan(3, 4, mode="bootstrap")
 
 
+def test_without_replacement_rejects_w_above_two_to_the_n_for_any_n():
+    with pytest.raises(DesignError, match="2\\^n"):
+        make_flip_plan(21, 2**21 + 2, mode="without-replacement")
+    with pytest.raises(DesignError, match="2\\^n"):
+        make_flip_plan(40, 2**40 + 1, mode="without-replacement")
+
+
+def test_distinct_sampler_fills_every_row_when_w_is_two_to_the_n():
+    from signflip.flips import _first_occurrences, _sample_distinct, keyed_rng
+
+    for n in (1, 3, 8, 9):
+        signs = _sample_distinct(keyed_rng(n), n, 2**n)
+        assert signs.shape == (2**n, -(-n // 8))
+        assert _first_occurrences(signs).size == 2**n
+        assert not signs[0].any()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 30, 54])
+def test_packed_plan_layout(n):
+    w = 40
+    modes = ["with-replacement", "without-replacement"]
+    if n <= 8:
+        modes.append("exhaustive")
+    for mode in modes:
+        plan = make_flip_plan(n, 2**n if mode == "exhaustive" else min(w, 2**n),
+                              mode=mode, seed=n)
+        nb = -(-n // 8)
+        assert plan.signs.dtype == np.uint8
+        assert plan.signs.nbytes == plan.w * nb
+        assert not plan.signs[0].any()
+        if n % 8:
+            assert not np.any(plan.signs[:, -1] >> (n % 8))
+        bits = (plan.signs[:, np.arange(n) // 8] >> (np.arange(n) % 8)) & 1
+        assert_array_equal(plan.dense(), 1 - 2 * bits.astype(np.int8))
+    # bit i % 8 of byte i // 8 negates observation i; exhaustive order
+    # counts in binary with the last coordinate fastest
+    plan = make_flip_plan(3, 8, mode="exhaustive")
+    assert plan.signs[:, 0].tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
+    assert_array_equal(plan.dense()[1], [1, 1, -1])
+
+
 def test_first_row_is_identity_in_all_modes():
     for mode, w in (("with-replacement", 17), ("without-replacement", 9),
                     ("exhaustive", 16)):
         plan = make_flip_plan(4, w, mode=mode, seed=3)
-        assert_array_equal(plan.signs[0], np.ones(4, dtype=np.int8))
+        assert_array_equal(plan.dense()[0], np.ones(4, dtype=np.int8))
 
 
 # ------------------------------------------------------------------ #
@@ -187,6 +230,42 @@ def test_chunked_signed_sums_are_position_addressed(monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK", 7)
     chunked = flip_statistics_scalar(contribs, plan).values
     assert_array_equal(whole, chunked)
+
+
+def test_complementary_flips_give_exactly_negated_statistics():
+    # row 2^n - 1 - j of the exhaustive plan is the complement of row j;
+    # the two-sided tie counts rely on its statistic being exactly -T_j
+    rng = np.random.default_rng(79)
+    plan = make_flip_plan(12, 2**12, mode="exhaustive")
+    values = flip_statistics_scalar(rng.normal(size=12), plan).values
+    assert_array_equal(values, -values[::-1])
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=1, d=1, w=2, seed=0, mode="with-replacement")
+@example(n=9, d=4, w=33, seed=1, mode="without-replacement")
+@example(n=300, d=2, w=17, seed=2, mode="without-replacement")
+@given(
+    n=st.integers(1, 300),
+    d=st.integers(1, 4),
+    w=st.integers(2, 40),
+    seed=st.integers(0, 2**32),
+    mode=st.sampled_from(["with-replacement", "without-replacement"]),
+)
+def test_lookup_kernel_matches_dense_product(n, d, w, seed, mode):
+    import signflip.engine as engine
+
+    w = min(w, 2**n)
+    plan = make_flip_plan(n, w, mode=mode, seed=seed)
+    rng = np.random.default_rng(seed)
+    contribs = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=d)
+    got = engine._signed_sums(plan.signs, contribs)
+    want = plan.dense().astype(float) @ contribs
+    assert got.shape == (w, d)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(contribs).sum(axis=0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_CHUNK", 7)
+        assert_array_equal(engine._signed_sums(plan.signs, contribs), got)
 
 
 def test_scalar_statistics_zero_contributions():

@@ -10,7 +10,10 @@ from signflip import (
     Gaussian,
     NegativeBinomial,
     Poisson,
+    build_design,
     family_from_name,
+    fit_null,
+    flip_test,
 )
 
 FITTING_FAMILIES = [Gaussian(), Poisson(), Binomial(trials=7)]
@@ -127,6 +130,26 @@ def test_binomial_rejects_out_of_range_counts():
     fam.validate_response(np.array([0.0, 2.0]))
     with pytest.raises(DesignError):
         Binomial(trials=0)
+
+
+def test_binomial_trials_length_must_match_response():
+    fam = Binomial(trials=np.array([2.0, 3.0, 4.0]))
+    fam.validate_response(np.array([0.0, 3.0, 1.0]))
+    with pytest.raises(DesignError, match="trials"):
+        fam.validate_response(np.array([0.0, 1.0]))
+    design = build_design({"x": np.arange(6.0)}, tested=["x"])
+    with pytest.raises(DesignError, match="trials"):
+        fit_null(np.ones(6), design, Binomial(trials=np.full(4, 2.0)))
+
+
+@pytest.mark.parametrize("family", FITTING_FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_response_rejected_before_fitting(family, bad):
+    design = build_design({"x": np.linspace(-1.0, 1.0, 8)}, tested=["x"])
+    y = np.ones(8)
+    y[2] = bad
+    with pytest.raises(DesignError):
+        flip_test(y, design, family, w=16)
 
 
 def test_dispersion_is_one_for_fitting_families():
