@@ -13,6 +13,7 @@ from .baselines import (
     one_sample_t,
     parametric_score_test,
     quasi_score_test,
+    rao_test,
     sandwich_estimate,
     sandwich_wald_test,
 )
@@ -34,15 +35,13 @@ from .families import (
     Binomial,
     Family,
     Gaussian,
-    NegativeBinomial,
     Poisson,
     family_from_name,
 )
 from .flips import FlipPlan, MODES, keyed_rng, make_flip_plan
 from .glm import (
-    FullFit,
+    Fit,
     InfoBlocks,
-    NullFit,
     ScoreSet,
     fit_full,
     fit_null,
@@ -72,12 +71,10 @@ __all__ = [
     "EffectiveScores",
     "Family",
     "FlipPlan",
-    "FullFit",
+    "Fit",
     "Gaussian",
     "InfoBlocks",
     "MODES",
-    "NegativeBinomial",
-    "NullFit",
     "NumericalError",
     "Poisson",
     "RejectionCurve",
@@ -108,6 +105,7 @@ __all__ = [
     "p_value",
     "parametric_score_test",
     "quasi_score_test",
+    "rao_test",
     "read_config_file",
     "read_csv",
     "run_scenario",

@@ -23,6 +23,7 @@ from .glm import (
 __all__ = [
     "SandwichEstimate",
     "sandwich_estimate",
+    "rao_test",
     "parametric_score_test",
     "sandwich_wald_test",
     "quasi_score_test",
@@ -77,19 +78,18 @@ def sandwich_estimate(y, full_fit, design, family, meat=None):
     return SandwichEstimate(xtwx=xtwx, meat=np.asarray(meat, dtype=float), vcov=vcov)
 
 
-def parametric_score_test(y, design, family, alternative="two-sided", alpha=0.05):
-    """Rao score test using the effective score and effective information.
+def rao_test(scores, alternative="two-sided", alpha=0.05):
+    """Rao score test from the score contributions at the null fit.
 
-    For a single tested column the statistic is z = S*/sqrt(I*), referred
-    to the standard normal; for d > 1 it is S*' (I*)^-1 S* with a
-    chi-squared d upper tail (two-sided only).
+    Uses the effective score and effective information of ``scores``
+    (a ScoreSet).  For a single tested column the statistic is
+    z = S*/sqrt(I*), referred to the standard normal; for d > 1 it is
+    S*' (I*)^-1 S* with a chi-squared d upper tail (two-sided only).
     """
-    null_fit = fit_null(y, design, family)
-    scores = score_contributions(y, null_fit, design, family)
-    n = design.n
+    n, d = scores.nu.shape
     s_star = scores.nu.sum(axis=0) / np.sqrt(n)  # equals the effective score at the MLE
     i_star = scores.info.i_star
-    if design.d == 1:
+    if d == 1:
         var = float(i_star[0, 0])
         if not var > 0:
             raise NumericalError("effective information is not positive")
@@ -102,7 +102,7 @@ def parametric_score_test(y, design, family, alternative="two-sided", alpha=0.05
                 "the d-dimensional parametric score test is two-sided only"
             )
         statistic = float(s_star @ solve_spd(i_star, s_star))
-        p = float(stats.chi2.sf(statistic, design.d))
+        p = float(stats.chi2.sf(statistic, d))
     return TestResult(
         statistic=statistic,
         p_value=p,
@@ -111,6 +111,13 @@ def parametric_score_test(y, design, family, alternative="two-sided", alpha=0.05
         alternative=alternative,
         method="parametric-score",
     )
+
+
+def parametric_score_test(y, design, family, alternative="two-sided", alpha=0.05):
+    """Fit the null model and run ``rao_test`` on its score contributions."""
+    null_fit = fit_null(y, design, family)
+    scores = score_contributions(y, null_fit, design, family)
+    return rao_test(scores, alternative, alpha)
 
 
 def sandwich_wald_test(y, design, family, alternative="two-sided", alpha=0.05,
@@ -124,7 +131,7 @@ def sandwich_wald_test(y, design, family, alternative="two-sided", alpha=0.05,
     full_fit = fit_full(y, design, family)
     est = sandwich_estimate(y, full_fit, design, family, meat=meat)
     idx = list(design.tested)
-    delta = full_fit.beta_hat[idx] - design.null_value
+    delta = full_fit.coef[idx] - design.null_value
     vdd = est.vcov[np.ix_(idx, idx)]
     if design.d == 1:
         var = float(vdd[0, 0])
@@ -179,7 +186,7 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05,
     if not bread_dd > 0:
         raise NumericalError("model-based variance of the tested coefficient is not positive")
     se = np.sqrt(dispersion * bread_dd)
-    t = float(full_fit.beta_hat[j] - design.null_value[0]) / se
+    t = float(full_fit.coef[j] - design.null_value[0]) / se
     df = design.n - design.k
     p = _tail_p(t, alternative, stats.t(df))
     return TestResult(

@@ -90,15 +90,25 @@ def cmd_test(args):
         null_value=null_value,
     )
     family = family_from_name(args.family)
-    methods = list(_ALL_METHODS) if args.method == "all" else [args.method]
-    results = [_run_method(m, y, design, family, args) for m in methods]
+    if args.method != "all":
+        results = [_run_method(args.method, y, design, family, args)]
+    else:
+        # a method that cannot handle this design is skipped, not fatal
+        results = []
+        for method in _ALL_METHODS:
+            try:
+                results.append(_run_method(method, y, design, family, args))
+            except DesignError as exc:
+                print(f"skipped {method}: {exc}", file=sys.stderr)
+        if not results:
+            raise DesignError("every method was skipped")
     for i, res in enumerate(results):
         if i:
             print()
         _print_result(res)
     if args.json:
         doc = [_result_dict(r) for r in results]
-        print(json.dumps(doc[0] if len(doc) == 1 else doc))
+        print(json.dumps(doc if args.method == "all" else doc[0]))
     return 0
 
 

@@ -220,19 +220,25 @@ def read_csv(path):
 
     UTF-8, comma separated, '.' decimal.  A column parses as numeric when
     every entry parses as a float; otherwise it is kept as a categorical
-    string column.
+    string column.  An empty cell is an error, so a missing number never
+    turns its column categorical.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader]
     if not rows:
         raise DesignError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    body = [r for r in rows[1:] if r]
-    if any(len(r) != len(header) for r in body):
+    header = [h.strip() for h in rows[0][1]]
+    body = [(line, r) for line, r in rows[1:] if r]
+    if any(len(r) != len(header) for _, r in body):
         raise DesignError(f"{path}: ragged rows")
+    for line, r in body:
+        for name, cell in zip(header, r):
+            if not cell.strip():
+                raise DesignError(f"{path}: empty cell in column {name!r} on line {line}")
     table = {}
     for j, name in enumerate(header):
-        raw = [r[j].strip() for r in body]
+        raw = [r[j].strip() for _, r in body]
         try:
             table[name] = np.asarray([float(v) for v in raw])
         except ValueError:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import DesignError, NumericalError
 from .flips import make_flip_plan
-from .glm import ScoreSet, fit_null, score_contributions, solve_spd
+from .glm import fit_null, score_contributions, solve_spd
 
 __all__ = [
     "EffectiveScores",
@@ -186,6 +186,19 @@ def _floor_multiple(alpha, w):
     return int(math.floor(alpha * w + 1e-9))
 
 
+def _count(vals, alternative):
+    """Number of flips at least as extreme as T_1, T_1 included."""
+    if alternative == "greater":
+        return int(np.count_nonzero(vals >= vals[0]))
+    if alternative == "less":
+        return int(np.count_nonzero(vals <= vals[0]))
+    if alternative == "two-sided-abs":
+        return int(np.count_nonzero(np.abs(vals) >= abs(vals[0])))
+    raise DesignError(
+        f"p_value is defined for greater/less/two-sided-abs, got {alternative!r}"
+    )
+
+
 def p_value(stat_vector, alternative):
     """Resampling p-value including the identity flip (so p >= 1/w).
 
@@ -193,18 +206,7 @@ def p_value(stat_vector, alternative):
     counts |T_j| >= |T_1|.
     """
     vals = stat_vector.values
-    w = vals.shape[0]
-    if alternative == "greater":
-        count = int(np.count_nonzero(vals >= vals[0]))
-    elif alternative == "less":
-        count = int(np.count_nonzero(vals <= vals[0]))
-    elif alternative == "two-sided-abs":
-        count = int(np.count_nonzero(np.abs(vals) >= abs(vals[0])))
-    else:
-        raise DesignError(
-            f"p_value is defined for greater/less/two-sided-abs, got {alternative!r}"
-        )
-    return count / w
+    return _count(vals, alternative) / vals.shape[0]
 
 
 def decide(stat_vector, alpha, alternative, alpha1=None, alpha2=None,
@@ -216,7 +218,10 @@ def decide(stat_vector, alpha, alternative, alpha1=None, alpha2=None,
     one-sided rules at alpha1/alpha2 (each must be a multiple of 1/w,
     default floor((alpha/2)w)/w each); two-sided-abs rejects iff its
     p-value is at most alpha.  Order statistics run over all w values
-    including T_1.
+    including T_1.  With m = floor(alpha*w), T_1 > T_(w-m) holds exactly
+    when at most m flips have T_j >= T_1, and T_1 < T_(m+1) exactly when
+    at most m have T_j <= T_1, ties included; the rules are applied as
+    these counts, so nothing is sorted.
     """
     if not 0.0 < alpha < 1.0:
         raise DesignError("alpha must be in (0, 1)")
@@ -224,16 +229,10 @@ def decide(stat_vector, alpha, alternative, alpha1=None, alpha2=None,
     w = vals.shape[0]
     t1 = float(vals[0])
 
-    if alternative == "greater":
-        m = _floor_multiple(alpha, w)
-        svals = np.sort(vals)
-        reject = t1 > svals[w - m - 1]
-        p = p_value(stat_vector, "greater")
-    elif alternative == "less":
-        m = _floor_multiple(alpha, w)
-        svals = np.sort(vals)
-        reject = t1 < svals[m]
-        p = p_value(stat_vector, "less")
+    if alternative in ("greater", "less"):
+        count = _count(vals, alternative)
+        reject = count <= _floor_multiple(alpha, w)
+        p = count / w
     elif alternative == "two-sided-abs":
         p = p_value(stat_vector, "two-sided-abs")
         reject = p <= alpha
@@ -247,11 +246,11 @@ def decide(stat_vector, alpha, alternative, alpha1=None, alpha2=None,
             raise DesignError(
                 "two-sided-tails needs alpha1 and alpha2 to be multiples of 1/w"
             )
-        m1, m2 = int(round(m1)), int(round(m2))
-        svals = np.sort(vals)
-        reject = (m1 > 0 and t1 < svals[m1]) or (m2 > 0 and t1 > svals[w - m2 - 1])
+        below = _count(vals, "less")
+        above = _count(vals, "greater")
+        reject = below <= round(m1) or above <= round(m2)
         # reported p combines both tail counts (not part of the decision rule)
-        p = min(1.0, p_value(stat_vector, "less") + p_value(stat_vector, "greater"))
+        p = min(1.0, below / w + above / w)
     else:
         raise DesignError(
             f"unknown alternative {alternative!r}; choose from {ALTERNATIVES}"
@@ -269,8 +268,7 @@ def decide(stat_vector, alpha, alternative, alpha1=None, alpha2=None,
 
 def flip_test(y, design, family, method="effective", alternative="two-sided-abs",
               alpha=0.05, w=5000, mode="with-replacement", seed=0,
-              vhat="identity", alpha1=None, alpha2=None,
-              score_scale=1.0, weight_scale=1.0):
+              vhat="identity", alpha1=None, alpha2=None):
     """Sign-flip score test of H0: beta = null_value.
 
     Fits the null model, forms per-observation score contributions
@@ -278,25 +276,11 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     them w times and applies the decision rule.  A single tested column
     uses the scalar statistic; d > 1 uses the quadratic form with
     ``vhat`` either ``"identity"`` or ``"inv-effective-info"``.
-
-    ``score_scale`` and ``weight_scale`` multiply the score
-    contributions and the IRLS weights after fitting; they exist so the
-    constant-misspecification invariance can be exercised directly and
-    default to 1.
     """
     if method not in ("basic", "effective"):
         raise DesignError(f"method must be 'basic' or 'effective', got {method!r}")
     null_fit = fit_null(y, design, family)
-    if weight_scale != 1.0:
-        # the information blocks below then come from the scaled weights
-        null_fit = replace(null_fit, W_hat=weight_scale * null_fit.W_hat)
     scores = score_contributions(y, null_fit, design, family)
-    if score_scale != 1.0:
-        scores = ScoreSet(
-            nu=score_scale * scores.nu,
-            nu_nuis=score_scale * scores.nu_nuis,
-            info=scores.info,
-        )
 
     if method == "effective":
         contribs = effective_contributions(scores).nu_star

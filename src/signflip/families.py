@@ -5,10 +5,6 @@ link pair, the response variance function and the log-density normalizer.
 The per-observation log density is ``(y*eta - b(eta))/a + c(y)`` with the
 dispersion ``a`` equal to 1 for every fitting family (the gaussian scale
 is pinned to 1; the flip tests are invariant to that constant).
-
-The negative binomial is included as a data-generating family only: its
-variance function and canonical pair are available for checks and
-simulation, but it refuses to be used as a fitting target.
 """
 
 import numpy as np
@@ -21,7 +17,6 @@ __all__ = [
     "Gaussian",
     "Poisson",
     "Binomial",
-    "NegativeBinomial",
     "family_from_name",
 ]
 
@@ -30,7 +25,6 @@ class Family:
     """Canonical-link exponential family on the observation scale."""
 
     name = "family"
-    can_fit = True
 
     # cumulant and derivatives
     def b(self, eta):
@@ -232,71 +226,12 @@ class Binomial(Family):
         return f"Binomial(trials={self.trials!r})"
 
 
-class NegativeBinomial(Family):
-    """Negative binomial with known shape theta; generation/checks only.
-
-    var(Y) = mu + mu^2/theta, so theta = 1 doubles-plus the Poisson
-    variance at mu = 1 and theta -> inf recovers Poisson.  The canonical
-    pair (eta = log(mu/(mu+theta))) is implemented for the family
-    invariants, but this family cannot be a fitting target.
-    """
-
-    name = "negative-binomial"
-    can_fit = False
-
-    def __init__(self, theta):
-        if not theta > 0:
-            raise DesignError("negative-binomial theta must be positive")
-        self.theta = float(theta)
-
-    def b(self, eta):
-        # natural domain eta < 0
-        return -self.theta * np.log1p(-np.exp(eta))
-
-    def b_prime(self, eta):
-        e = np.exp(eta)
-        return self.theta * e / (1.0 - e)
-
-    def b_double_prime(self, eta):
-        e = np.exp(eta)
-        return self.theta * e / np.square(1.0 - e)
-
-    def link(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        return np.log(mu / (mu + self.theta))
-
-    def variance(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        return mu + np.square(mu) / self.theta
-
-    def log_normalizer(self, y):
-        y = np.asarray(y, dtype=float)
-        t = self.theta
-        return gammaln(y + t) - gammaln(t) - gammaln(y + 1.0)
-
-    def validate_response(self, y):
-        y = np.asarray(y)
-        if np.any(y < 0) or np.any(y != np.floor(y)):
-            raise DesignError("negative-binomial response must be non-negative integers")
-
-    def initial_mean(self, y):
-        return np.asarray(y, dtype=float) + 0.5
-
-    def valid_mean(self, mu):
-        mu = np.asarray(mu)
-        return bool(np.all(np.isfinite(mu)) and np.all(mu > 0.0))
-
-    def __repr__(self):
-        return f"NegativeBinomial(theta={self.theta})"
-
-
 def family_from_name(name, **kwargs):
-    """Resolve a family by name: gaussian, poisson, binomial, negative-binomial."""
+    """Resolve a family by name: gaussian, poisson, binomial."""
     table = {
         "gaussian": Gaussian,
         "poisson": Poisson,
         "binomial": Binomial,
-        "negative-binomial": NegativeBinomial,
     }
     try:
         cls = table[name]

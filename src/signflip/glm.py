@@ -17,8 +17,7 @@ import scipy.linalg
 from .exceptions import DesignError, NumericalError
 
 __all__ = [
-    "NullFit",
-    "FullFit",
+    "Fit",
     "ScoreSet",
     "InfoBlocks",
     "fit_null",
@@ -57,24 +56,15 @@ def solve_spd(A, B):
 
 
 @dataclass(frozen=True)
-class NullFit:
-    """Constrained fit under the null: nuisance MLE with tested effect fixed."""
+class Fit:
+    """Converged IRLS fit.
 
-    gamma_hat: np.ndarray
-    beta0: np.ndarray
-    mu_hat: np.ndarray
-    eta_hat: np.ndarray
-    W_hat: np.ndarray
-    deviance: float
-    iterations: int
-    converged: bool
+    ``coef`` holds the fitted coefficients: the nuisance block for
+    ``fit_null`` (tested effect fixed at its null value), every design
+    column for ``fit_full``.  ``W_hat`` are the IRLS weights at the fit.
+    """
 
-
-@dataclass(frozen=True)
-class FullFit:
-    """Unconstrained fit over all design columns."""
-
-    beta_hat: np.ndarray
+    coef: np.ndarray
     mu_hat: np.ndarray
     eta_hat: np.ndarray
     W_hat: np.ndarray
@@ -105,7 +95,9 @@ class ScoreSet:
 
     ``nu`` holds the tested columns x_i (y_i - mu_i) / a_i, row per
     observation; ``nu_nuis`` the nuisance columns.  ``info`` carries the
-    information blocks evaluated at the same fit.
+    information blocks evaluated at the same fit.  This is everything the
+    flip tests and the Rao test read from the null model, so one null fit
+    serves all of them.
     """
 
     nu: np.ndarray
@@ -114,7 +106,7 @@ class ScoreSet:
 
 
 def _irls(X, y, family, offset):
-    """IRLS for a canonical-link GLM; returns the fit tuple.
+    """IRLS for a canonical-link GLM; returns the Fit.
 
     Works for zero-column X (nothing to fit: the linear predictor is the
     offset).  Raises NumericalError on non-convergence or when
@@ -131,7 +123,7 @@ def _irls(X, y, family, offset):
         if not family.valid_mean(mu):
             raise NumericalError("offset-only predictor leaves the valid mean range")
         W = family.b_double_prime(eta) / family.dispersion(n)
-        return np.zeros(0), eta, mu, W, family.deviance(y, mu), 0, True
+        return Fit(np.zeros(0), mu, eta, W, family.deviance(y, mu), 0, True)
 
     mu = np.asarray(family.initial_mean(y), dtype=float)
     eta = np.asarray(family.link(mu), dtype=float)
@@ -176,7 +168,7 @@ def _irls(X, y, family, offset):
         dev_old, dev = dev, dev_try
         if abs(dev - dev_old) < DEV_TOL * (abs(dev) + 0.1):
             bpp = np.asarray(family.b_double_prime(eta), dtype=float)
-            return coef, eta, mu, bpp / a, dev, it, True
+            return Fit(coef, mu, eta, bpp / a, dev, it, True)
 
     raise NumericalError(f"IRLS did not converge in {MAX_ITER} iterations")
 
@@ -188,40 +180,16 @@ def fit_null(y, design, family):
     offset, so only the nuisance coefficients (including any intercept)
     are estimated.  At convergence the nuisance score sums vanish.
     """
-    if not family.can_fit:
-        raise DesignError(f"family {family.name!r} cannot be a fitting target")
     family.validate_response(y)
-    Z = design.X_nuisance
-    coef, eta, mu, W, dev, it, conv = _irls(Z, y, family, design.fitting_offset)
-    return NullFit(
-        gamma_hat=coef,
-        beta0=design.null_value.copy(),
-        mu_hat=mu,
-        eta_hat=eta,
-        W_hat=W,
-        deviance=dev,
-        iterations=it,
-        converged=conv,
-    )
+    return _irls(design.X_nuisance, y, family, design.fitting_offset)
 
 
 def fit_full(y, design, family):
     """Maximize the likelihood over all design columns."""
-    if not family.can_fit:
-        raise DesignError(f"family {family.name!r} cannot be a fitting target")
     family.validate_response(y)
     if np.linalg.matrix_rank(design.X) < design.k:
         raise DesignError("design matrix is rank deficient for the full fit")
-    coef, eta, mu, W, dev, it, conv = _irls(design.X, y, family, design.offset)
-    return FullFit(
-        beta_hat=coef,
-        mu_hat=mu,
-        eta_hat=eta,
-        W_hat=W,
-        deviance=dev,
-        iterations=it,
-        converged=conv,
-    )
+    return _irls(design.X, y, family, design.offset)
 
 
 def information_blocks(null_fit, design):

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .baselines import one_sample_t, parametric_score_test, sandwich_wald_test
+from .baselines import one_sample_t, rao_test, sandwich_wald_test
+from .baselines import parametric_score_test  # noqa: F401 -- traced by bench/tracer.py
 from .design import build_design
 from .engine import (
     effective_contributions,
@@ -81,7 +82,7 @@ class SimConfig:
     reps: int = 2000
     w: int = 200
     seed: int = 0
-    beta: object = 0.0           # scalar, or d-vector for multivariate
+    beta: object = 0.0           # scalar or d-vector; GLM scenarios test d = its size
     gamma0: object = 1.0
     gamma0_latent: float = 0.0
     rho: float = 0.5
@@ -104,16 +105,14 @@ class SimConfig:
         ):
             raise DesignError("alpha_grid must be strictly increasing within (0, 1)")
         self.alpha_grid = grid
-        if self.scenario == "multivariate":
+        if self.scenario == "hetero-t":
+            if self.sigma_rule not in ("exp-index", "constant"):
+                raise DesignError("sigma_rule must be 'exp-index' or 'constant'")
+        else:
             self.beta = np.asarray(self.beta, dtype=float).reshape(-1)
             self.gamma0 = np.asarray(self.gamma0, dtype=float).reshape(-1)
             if self.beta.size != self.gamma0.size:
                 raise DesignError("beta and gamma0 must have the same dimension")
-        if self.scenario == "hetero-t" and self.sigma_rule not in (
-            "exp-index",
-            "constant",
-        ):
-            raise DesignError("sigma_rule must be 'exp-index' or 'constant'")
         return self
 
 
@@ -210,40 +209,17 @@ def gen_hetero_normal(n, mu, sigma_rule="exp-index", sigma=1.0, seed=0):
 
 
 def _glm_rep(cfg, rep):
-    """One repetition of the single-parameter GLM scenarios."""
-    rng = keyed_rng(cfg.seed, rep)
-    corr = np.array([[1.0, cfg.rho, 0.0], [cfg.rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    cov = _mvn_rows(rng, cfg.n, corr)
-    x, z, z_lat = cov[:, 0], cov[:, 1], cov[:, 2]
-    eta = cfg.beta * x + cfg.gamma0 * z + cfg.gamma0_latent * z_lat
-    if cfg.theta is None:
-        y = rng.poisson(np.exp(eta)).astype(float)
-    else:
-        y = _negbin(rng, eta, cfg.theta)
-    flip_seed = int(rng.integers(0, 2**63))
+    """One repetition of a Poisson GLM scenario with d = len(beta).
 
-    design = build_design({"x": x, "z": z}, tested=["x"], nuisance=["z"],
-                          intercept=True)
-    family = Poisson()
-    null_fit = fit_null(y, design, family)
-    scores = score_contributions(y, null_fit, design, family)
-    nu_star = effective_contributions(scores).nu_star
-    plan = make_flip_plan(cfg.n, cfg.w, "with-replacement", seed=flip_seed)
-    p_basic = p_value(flip_statistics_scalar(scores.nu[:, 0], plan), "two-sided-abs")
-    p_eff = p_value(flip_statistics_scalar(nu_star[:, 0], plan), "two-sided-abs")
-    p_par = parametric_score_test(y, design, family).p_value
-    p_gee = sandwich_wald_test(y, design, family).p_value
-    return {"par": p_par, "GEE": p_gee, "flipSimple": p_basic, "flipEff": p_eff}
-
-
-def _multivariate_rep(cfg, rep):
-    """One repetition of the 5-dimensional scenario."""
+    The d tested and d nuisance covariates are equicorrelated (rho); the
+    latent covariate is independent of them and left out of the fit.
+    d = 1 uses the scalar statistic, d > 1 the identity quadratic form.
+    """
     rng = keyed_rng(cfg.seed, rep)
     d = cfg.beta.size
-    dim = 2 * d + 1
-    corr = np.full((dim, dim), 0.0)
-    corr[: 2 * d, : 2 * d] = 0.5
-    np.fill_diagonal(corr, 1.0)  # latent column independent of the rest
+    corr = np.full((2 * d + 1, 2 * d + 1), 0.0)
+    corr[: 2 * d, : 2 * d] = cfg.rho
+    np.fill_diagonal(corr, 1.0)
     cov = _mvn_rows(rng, cfg.n, corr)
     X = cov[:, :d]
     Z = cov[:, d : 2 * d]
@@ -264,16 +240,20 @@ def _multivariate_rep(cfg, rep):
     scores = score_contributions(y, null_fit, design, family)
     nu_star = effective_contributions(scores).nu_star
     plan = make_flip_plan(cfg.n, cfg.w, "with-replacement", seed=flip_seed)
-    eye = np.eye(d)
-    p_basic = p_value(
-        flip_statistics_quadratic(scores.nu, eye, plan, "identity"), "two-sided-abs"
-    )
-    p_eff = p_value(
-        flip_statistics_quadratic(nu_star, eye, plan, "identity"), "two-sided-abs"
-    )
-    p_par = parametric_score_test(y, design, family).p_value
-    p_gee = sandwich_wald_test(y, design, family).p_value
-    return {"par": p_par, "GEE": p_gee, "flipSimple": p_basic, "flipEff": p_eff}
+
+    def flip_p(contribs):
+        if d == 1:
+            stats = flip_statistics_scalar(contribs[:, 0], plan)
+        else:
+            stats = flip_statistics_quadratic(contribs, np.eye(d), plan, "identity")
+        return p_value(stats, "two-sided-abs")
+
+    return {
+        "par": rao_test(scores).p_value,
+        "GEE": sandwich_wald_test(y, design, family).p_value,
+        "flipSimple": flip_p(scores.nu),
+        "flipEff": flip_p(nu_star),
+    }
 
 
 def _hetero_rep(cfg, rep):
@@ -303,8 +283,6 @@ def run_scenario(config):
     cfg.validate()
     if cfg.scenario == "hetero-t":
         rep_fn, methods = _hetero_rep, _T_METHODS
-    elif cfg.scenario == "multivariate":
-        rep_fn, methods = _multivariate_rep, _GLM_METHODS
     else:
         rep_fn, methods = _glm_rep, _GLM_METHODS
 

@@ -195,7 +195,7 @@ def test_quasi_dispersion_hook_reduces_to_model_wald():
     X = design.X
     xtwx = X.T @ (ff.W_hat[:, None] * X)
     j = design.tested[0]
-    z_model = ff.beta_hat[j] / np.sqrt(solve_spd(xtwx, np.eye(design.k))[j, j])
+    z_model = ff.coef[j] / np.sqrt(solve_spd(xtwx, np.eye(design.k))[j, j])
     assert_allclose(res.statistic, z_model, rtol=1e-10)
     # p differs only through the t reference
     assert_allclose(res.p_value,

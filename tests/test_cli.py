@@ -112,6 +112,71 @@ def test_cmd_test_json_roundtrip(warpbreaks_csv, capsys):
     assert printed == [str(entry["p_value"]) for entry in doc]
 
 
+def test_cmd_test_all_skips_quasi_when_two_columns_are_tested(warpbreaks_csv,
+                                                              capsys):
+    rc = main([
+        "test", "--data", warpbreaks_csv, "--response", "breaks",
+        "--tested", "tension", "--nuisance", "wool", "--intercept",
+        "--family", "poisson", "--method", "all", "--w", "500", "--json",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == (
+        "skipped quasi: quasi_score_test handles a single tested column\n"
+    )
+    doc = json.loads(captured.out.strip().split("\n")[-1])
+    assert [entry["method"] for entry in doc] == [
+        "parametric-score", "sandwich-wald", "flip-basic", "flip-effective",
+    ]
+    # nothing left to run (one-sided d > 1 tests, no valid flip count): exit 2
+    rc = main([
+        "test", "--data", warpbreaks_csv, "--response", "breaks",
+        "--tested", "tension", "--nuisance", "wool", "--intercept",
+        "--family", "poisson", "--method", "all", "--alternative", "greater",
+        "--w", "0",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.count("skipped ") == 5
+    assert "every method was skipped" in captured.err
+
+
+def test_cmd_test_all_skips_quasi_for_gaussian_family(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    rows = ["y,x,z"] + [
+        f"{rng.normal():.17g},{rng.normal():.17g},{rng.normal():.17g}"
+        for _ in range(30)
+    ]
+    path = tmp_path / "gauss.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rc = main([
+        "test", "--data", str(path), "--response", "y", "--tested", "x",
+        "--nuisance", "z", "--intercept", "--family", "gaussian",
+        "--method", "all", "--w", "200", "--json",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == (
+        "skipped quasi: quasi_score_test requires the poisson family\n"
+    )
+    doc = json.loads(captured.out.strip().split("\n")[-1])
+    assert len(doc) == 4 and "quasi-poisson" not in [e["method"] for e in doc]
+    assert captured.out.count("p_value: ") == 4
+
+
+def test_cmd_test_blank_csv_cell_exits_2(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    path.write_text("y,x,x2\n1,0.5,2\n2,1.5,\n0,-1,3\n4,2,1\n",
+                    encoding="utf-8")
+    rc = main([
+        "test", "--data", str(path), "--response", "y", "--tested", "x2",
+        "--nuisance", "x", "--intercept", "--family", "poisson",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'x2'" in err and "line 3" in err
+
+
 def test_cmd_test_byte_identical_repeats(warpbreaks_csv, capsys):
     args = [
         "test", "--data", warpbreaks_csv, "--response", "breaks",

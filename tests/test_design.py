@@ -108,6 +108,18 @@ def test_read_csv_rejects_ragged(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("body, column, line", [
+    ("1,a,0.5\n2,b,\n", "x", 3),      # numeric column
+    ("1,a,0.5\n2, ,1\n", "g", 3),     # categorical column, blank after strip
+    ("\n1,a,0.5\n,b,1\n", "y", 4),   # line count includes a skipped blank row
+], ids=["numeric", "categorical", "after-blank-row"])
+def test_read_csv_rejects_empty_cells(tmp_path, body, column, line):
+    path = tmp_path / "blank.csv"
+    path.write_text("y,g,x\n" + body, encoding="utf-8")
+    with pytest.raises(DesignError, match=f"empty cell in column '{column}' on line {line}"):
+        read_csv(path)
+
+
 def test_null_value_length_checked():
     x = np.arange(6.0)
     with pytest.raises(DesignError, match="null_value"):

@@ -1,5 +1,7 @@
 """Flip plans, flip statistics, decision rules and the flip test."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from signflip import (
     Gaussian,
     NumericalError,
     Poisson,
+    ScoreSet,
     StatVector,
     build_design,
     decide,
@@ -398,6 +401,22 @@ def test_decide_matches_first_principles_oracle():
         assert p_value(sv, "greater") == oracle_p_greater(list(vals))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+    alpha=st.floats(0.01, 0.99),
+)
+def test_decide_matches_oracle_on_tied_integer_statistics(values, alpha):
+    vals = np.asarray(values, dtype=float)
+    assert decide(StatVector(vals, "scalar"), alpha, "greater").reject == (
+        oracle_reject_greater(list(vals), alpha)
+    )
+    # less is greater on the negated statistics
+    assert decide(StatVector(vals, "scalar"), alpha, "less").reject == (
+        oracle_reject_greater(list(-vals), alpha)
+    )
+
+
 def test_two_sided_tails_requires_multiples_of_one_over_w():
     vals = np.linspace(-1, 1, 20)
     sv = StatVector(vals, "scalar")
@@ -469,8 +488,16 @@ def test_flip_test_misspecification_hooks_leave_decision_unchanged():
                           intercept=True)
     fam = Poisson()
     base = flip_test(y, design, fam, w=300, seed=31)
-    scaled = flip_test(y, design, fam, w=300, seed=31, score_scale=5.0,
-                       weight_scale=2.0)
+    # the same effective-score test with scores x5 and IRLS weights x2
+    fit = fit_null(y, design, fam)
+    fit = replace(fit, W_hat=2.0 * fit.W_hat)
+    scores = score_contributions(y, fit, design, fam)
+    scores = ScoreSet(nu=5.0 * scores.nu, nu_nuis=5.0 * scores.nu_nuis,
+                      info=scores.info)
+    nu_star = effective_contributions(scores).nu_star
+    plan = make_flip_plan(design.n, 300, seed=31)
+    scaled = decide(flip_statistics_scalar(nu_star[:, 0], plan), 0.05,
+                    "two-sided-abs")
     assert base.p_value == scaled.p_value
     assert base.reject == scaled.reject
 

@@ -8,8 +8,8 @@ from signflip import (
     Binomial,
     DesignError,
     DesignMatrix,
+    Fit,
     Gaussian,
-    NullFit,
     NumericalError,
     Poisson,
     build_design,
@@ -66,7 +66,7 @@ def test_poisson_score_sum_matches_finite_difference():
     y, design, fam = _random_model(rng, "poisson", n=20)
     nf = fit_null(y, design, fam)
     scores = score_contributions(y, nf, design, fam)
-    params = np.concatenate([nf.gamma_hat, design.null_value])
+    params = np.concatenate([nf.coef, design.null_value])
 
     fd = fd_gradient(lambda p: log_likelihood(p, y, design, fam), params, h=1e-6)
     # column order is (nuisance | tested)
@@ -83,7 +83,7 @@ def test_score_likelihood_consistency_randomized(family_name):
                                        extra_nuisance=rng.integers(1, 3))
         nf = fit_null(y, design, fam)
         scores = score_contributions(y, nf, design, fam)
-        params = np.concatenate([nf.gamma_hat, design.null_value])
+        params = np.concatenate([nf.coef, design.null_value])
         fd = fd_gradient(lambda p: log_likelihood(p, y, design, fam), params)
         got = np.concatenate([scores.nu_nuis.sum(axis=0), scores.nu.sum(axis=0)])
         scale = np.maximum(np.abs(fd), 1.0)
@@ -163,9 +163,8 @@ def test_information_singular_nuisance_block_errors():
     X = np.column_stack([z, z, np.linspace(-1, 1, n)])
     design = DesignMatrix(X=X, columns=("z1", "z2", "x"), tested=(2,),
                           null_value=[0.0])
-    fake_fit = NullFit(
-        gamma_hat=np.zeros(2),
-        beta0=np.zeros(1),
+    fake_fit = Fit(
+        coef=np.zeros(2),
         mu_hat=np.ones(n),
         eta_hat=np.zeros(n),
         W_hat=np.ones(n),
@@ -196,10 +195,10 @@ def test_log_likelihood_poisson_maximal_at_mle():
     rng = np.random.default_rng(53)
     y, design, fam = _random_model(rng, "poisson", n=30)
     ff = fit_full(y, design, fam)
-    # column order of beta_hat matches the design
-    ll_hat = log_likelihood(ff.beta_hat, y, design, fam)
+    # column order of coef matches the design
+    ll_hat = log_likelihood(ff.coef, y, design, fam)
     for _ in range(20):
-        pert = ff.beta_hat + rng.normal(scale=0.05, size=design.k)
+        pert = ff.coef + rng.normal(scale=0.05, size=design.k)
         assert log_likelihood(pert, y, design, fam) <= ll_hat + 1e-12
 
 

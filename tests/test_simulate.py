@@ -212,6 +212,25 @@ def test_failed_reps_are_counted_and_excluded(monkeypatch):
     assert curve.reps == 8  # rates are over completed reps only
 
 
+@pytest.mark.parametrize("scenario", ["overdispersed-nuisance", "multivariate"])
+def test_one_null_fit_per_glm_repetition(monkeypatch, scenario):
+    import signflip.baselines as baselines
+    import signflip.simulate as sim
+
+    calls = []
+    for module in (sim, baselines):
+        real = module.fit_null
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "fit_null", counted)
+    curve = run_scenario(scenario_config(scenario, reps=5, seed=15))
+    assert curve.reps + len(curve.failed_reps) == 5
+    assert len(calls) == 5
+
+
 def test_write_curve_roundtrip(tmp_path):
     cfg = scenario_config("overdispersed-nuisance", n=40, reps=10, w=50, seed=12)
     curve = run_scenario(cfg)
