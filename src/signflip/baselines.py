@@ -33,6 +33,11 @@ __all__ = [
 _TWO_SIDED = ("two-sided", "two-sided-abs")
 
 
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 1.0:
+        raise DesignError("alpha must be in (0, 1)")
+
+
 def _tail_p(stat, alternative, dist):
     if alternative == "greater":
         return float(dist.sf(stat))
@@ -86,6 +91,7 @@ def rao_test(scores, alternative="two-sided", alpha=0.05):
     z = S*/sqrt(I*), referred to the standard normal; for d > 1 it is
     S*' (I*)^-1 S* with a chi-squared d upper tail (two-sided only).
     """
+    _check_alpha(alpha)
     n, d = scores.nu.shape
     s_star = scores.nu.sum(axis=0) / np.sqrt(n)  # equals the effective score at the MLE
     i_star = scores.info.i_star
@@ -128,6 +134,7 @@ def sandwich_wald_test(y, design, family, alternative="two-sided", alpha=0.05,
     normal; d > 1 uses the quadratic form with a chi-squared d reference
     (two-sided only).
     """
+    _check_alpha(alpha)
     full_fit = fit_full(y, design, family)
     est = sandwich_estimate(y, full_fit, design, family, meat=meat)
     idx = list(design.tested)
@@ -164,6 +171,7 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05,
     to Student's t on n - k degrees of freedom.  ``dispersion`` may be
     injected to pin phi_hat for checks.
     """
+    _check_alpha(alpha)
     if family.name != "poisson":
         raise DesignError("quasi_score_test requires the poisson family")
     if design.d != 1:
@@ -201,6 +209,7 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05,
 
 def one_sample_t(y, mu0=0.0, alternative="two-sided", alpha=0.05):
     """Student's one-sample t-test of the mean against mu0."""
+    _check_alpha(alpha)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     if n < 2:

@@ -73,6 +73,8 @@ def _run_method(method, y, design, family, args):
 
 
 def cmd_test(args):
+    if not 0.0 < args.alpha < 1.0:
+        raise DesignError("--alpha must be in (0, 1)")
     table = read_csv(args.data)
     if args.response not in table:
         raise DesignError(f"--response: unknown column {args.response!r}")

@@ -11,8 +11,9 @@ conservative.  p-values count the identity flip, so they live in
 [1/w, 1] and p <= floor(alpha*w)/w agrees with the order-statistic rule
 whenever there are no ties.
 
-Signed sums read the bit-packed plan through 256-entry lookup tables,
-one per plan byte and tested column, so no dense sign matrix is formed.
+Signed sums read the bit-packed, byte-major plan through 256-entry
+lookup tables, one per plan byte and tested column, walking each byte
+row of the plan contiguously, so no dense sign matrix is formed.
 
 Effective scores subtract the information-weighted projection of the
 nuisance contributions, which removes the first-order effect of
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 ALTERNATIVES = ("greater", "less", "two-sided-abs", "two-sided-tails")
-_CHUNK = 1 << 14  # plan rows summed per block
+_CHUNK = 1 << 14  # flips summed per block
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,8 @@ def effective_contributions(score_set):
 def _byte_tables(contribs):
     """Signed partial sums of the contributions, per byte of a packed plan.
 
-    Returns ``tab`` of shape (ceil(n/8), 256, d) with
-    ``tab[b, v] = sum_k (-1)^bit_k(v) * contribs[8b + k]``, the
+    Returns ``tab`` of shape (ceil(n/8), d, 256) with
+    ``tab[b, c, v] = sum_k (-1)^bit_k(v) * contribs[8b + k, c]``, the
     contributions past n taken as zero.  Each nibble's 16 sums are built
     by sign doubling, adding bit k's term to every entry in the same
     order, and a byte's entry adds its two nibble sums.  Complementary
@@ -115,27 +116,31 @@ def _byte_tables(contribs):
         h = 1 << k
         np.subtract(nib[:h], terms[:, k], out=nib[h : 2 * h])
         nib[:h] += terms[:, k]
-    tab = nib[:, None, 1] + nib[None, :, 0]  # [high, low] -> v = 16 high + low
-    return np.ascontiguousarray(tab.reshape(256, nb, d).transpose(1, 0, 2))
+    tab = np.empty((nb * d, 16, 16))  # [high, low] -> v = 16 high + low
+    tab[...] = nib[:, 1].T[:, :, None]
+    tab += nib[:, 0].T[:, None, :]
+    return tab.reshape(nb, d, 256)
 
 
 def _signed_sums(signs, contribs):
-    """(w, d) signed column sums for a packed plan, by byte lookup tables.
+    """(w, d) signed column sums for a byte-major packed plan.
 
-    Each row adds its bytes' table entries in byte order, one block of
-    rows at a time; a row's sum never depends on the others, so the
-    result is bit-identical no matter how the rows are partitioned.
+    Each flip adds its bytes' table entries in byte order, one block of
+    flips at a time, reading every byte row of the block as one
+    contiguous run; a flip's sum never depends on the others, so the
+    result is bit-identical no matter how the flips are partitioned.
+    The result is the transposed view of a (d, w) array.
     """
     tab = _byte_tables(contribs)
-    w, nb = signs.shape
-    out = np.empty((w, contribs.shape[1]))
+    nb, w = signs.shape
+    out = np.empty((contribs.shape[1], w))
     for start in range(0, w, _CHUNK):
-        by_byte = signs[start : start + _CHUNK].T
-        acc = out[start : start + _CHUNK]
-        np.take(tab[0], by_byte[0], axis=0, out=acc)
+        block = signs[:, start : start + _CHUNK]
+        acc = out[:, start : start + _CHUNK]
+        np.take(tab[0], block[0], axis=1, out=acc)
         for b in range(1, nb):
-            acc += tab[b].take(by_byte[b], axis=0)
-    return out
+            acc += tab[b].take(block[b], axis=1)
+    return out.T
 
 
 def flip_statistics_scalar(contribs, plan):
@@ -215,10 +220,11 @@ def decide(stat_vector, alpha, alternative, alpha1=None, alpha2=None,
 
     greater rejects iff T_1 > T_(ceil((1-alpha)w)); less rejects iff
     T_1 < T_(floor(alpha*w)+1); two-sided-tails takes the union of both
-    one-sided rules at alpha1/alpha2 (each must be a multiple of 1/w,
-    default floor((alpha/2)w)/w each); two-sided-abs rejects iff its
-    p-value is at most alpha.  Order statistics run over all w values
-    including T_1.  With m = floor(alpha*w), T_1 > T_(w-m) holds exactly
+    one-sided rules at alpha1/alpha2 (each must be a multiple of 1/w;
+    give both or neither, the default being floor((alpha/2)w)/w each);
+    two-sided-abs rejects iff its p-value is at most alpha.  Order
+    statistics run over all w values including T_1.  With
+    m = floor(alpha*w), T_1 > T_(w-m) holds exactly
     when at most m flips have T_j >= T_1, and T_1 < T_(m+1) exactly when
     at most m have T_j <= T_1, ties included; the rules are applied as
     these counts, so nothing is sorted.
@@ -237,7 +243,11 @@ def decide(stat_vector, alpha, alternative, alpha1=None, alpha2=None,
         p = p_value(stat_vector, "two-sided-abs")
         reject = p <= alpha
     elif alternative == "two-sided-tails":
-        if alpha1 is None or alpha2 is None:
+        if (alpha1 is None) != (alpha2 is None):
+            raise DesignError(
+                "two-sided-tails needs both alpha1 and alpha2, or neither"
+            )
+        if alpha1 is None:
             half = _floor_multiple(alpha / 2.0, w)
             alpha1 = alpha2 = half / w
         m1 = alpha1 * w

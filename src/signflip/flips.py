@@ -1,25 +1,28 @@
 """Sign-flip plans.
 
-A plan holds w sign vectors of length n, bit-packed: ``FlipPlan.signs``
-is a ``(w, ceil(n/8))`` uint8 array in which bit ``i % 8`` of byte
-``i // 8`` is set when the flip negates observation i.  Row 0 is the
-identity flip (all bits clear) and the padding bits past n are always
-zero, so a plan of w flips takes ``w * ceil(n/8)`` bytes.
-``FlipPlan.dense()`` unpacks it into the w-by-n matrix of +-1 signs.
+A plan holds w sign vectors of length n, bit-packed and stored
+byte-major: ``FlipPlan.signs`` is a ``(ceil(n/8), w)`` uint8 array
+whose row b holds byte b of every flip, and bit ``i % 8`` of
+``signs[i // 8, j]`` is set when flip j negates observation i.
+Column 0 is the identity flip (all bits clear) and the padding bits
+past n are always zero, so a plan of w flips takes ``w * ceil(n/8)``
+bytes.  The statistic kernel reads each byte row as one contiguous
+run.  ``FlipPlan.dense()`` unpacks it into the w-by-n matrix of +-1
+signs.
 
-Rows come from one counter-based Philox stream keyed by (seed, plan
+Flips come from one counter-based Philox stream keyed by (seed, plan
 stream), so the plan for a given (n, w, mode, seed) is identical
 regardless of how the downstream statistics are scheduled or chunked.
 
 Modes
 -----
 with-replacement
-    Rows 2..w i.i.d. uniform on {-1,+1}^n: raw bytes of the stream with
-    the padding bits masked off.
+    Flips 2..w i.i.d. uniform on {-1,+1}^n: byte b of flip j is byte
+    ``b*w + j`` of the stream, with the padding bits masked off.
 without-replacement
-    Rows 2..w distinct, uniform on {-1,+1}^n minus the identity; needs
+    Flips 2..w distinct, uniform on {-1,+1}^n minus the identity; needs
     w <= 2^n.  For n <= 20 this draws distinct codes of the exhaustive
-    enumeration, for larger n it draws packed rows in batches and
+    enumeration, for larger n it draws packed flips in batches and
     rejects repeats.
 exhaustive
     All 2^n sign vectors exactly once (w must equal 2^n, n <= 20),
@@ -53,67 +56,91 @@ def keyed_rng(seed, stream=0):
 class FlipPlan:
     """Bit-packed sign vectors with their provenance.
 
-    ``signs[j, i // 8]`` has bit ``i % 8`` set when flip j negates
-    observation i; row 0 (the identity flip) and the padding bits past n
-    are zero.
+    ``signs[i // 8, j]`` has bit ``i % 8`` set when flip j negates
+    observation i; column 0 (the identity flip) and the padding bits
+    past n are zero.
     """
 
     n: int
     w: int
     mode: str
     seed: int
-    signs: np.ndarray  # (w, ceil(n/8)) uint8
+    signs: np.ndarray  # (ceil(n/8), w) uint8, byte-major
 
     def dense(self):
         """The (w, n) int8 matrix of +-1 signs; row 0 is all +1."""
-        bits = np.unpackbits(self.signs, axis=1, count=self.n, bitorder="little")
+        bits = np.unpackbits(self.signs.T, axis=1, count=self.n, bitorder="little")
         return 1 - 2 * bits.astype(np.int8)
 
 
 def _pack_codes(codes, n):
-    """Pack n-bit codes (n <= 32); bit n-1-i of a code negates observation i."""
+    """Byte-major packing of n-bit codes (n <= 32).
+
+    Bit n-1-i of a code negates observation i.
+    """
     be = np.asarray(codes, dtype=">u4").view(np.uint8).reshape(-1, 4)
-    bits = np.unpackbits(be, axis=1)[:, 32 - n:]
-    return np.packbits(bits, axis=1, bitorder="little")
+    bits = np.unpackbits(be.T, axis=0)[32 - n:]  # row m is code bit 31 - m
+    return np.packbits(bits, axis=0, bitorder="little")
 
 
-def _random_rows(rng, n, rows):
-    """``rows`` uniform packed rows of raw stream bytes, padding masked."""
+def _random_flips(rng, n, w):
+    """w uniform packed flips, byte-major: byte b of flip j is stream byte b*w + j.
+
+    The padding bits past n are masked off.
+    """
     nb = -(-n // 8)
-    raw = rng.bit_generator.random_raw(-(-rows * nb // 8)).astype("<u8", copy=False)
-    out = raw.view(np.uint8)[: rows * nb].reshape(rows, nb)
+    raw = rng.bit_generator.random_raw(-(-nb * w // 8)).astype("<u8", copy=False)
+    out = raw.view(np.uint8)[: nb * w].reshape(nb, w)
     if n % 8:
-        out[:, -1] &= (1 << (n % 8)) - 1
+        out[-1] &= (1 << (n % 8)) - 1
     return out
 
 
 def _first_occurrences(signs):
-    """Indices of the first occurrence of each distinct row, in row order."""
-    keys = signs.view(np.dtype((np.void, signs.shape[1]))).ravel()
+    """Indices of the first occurrence of each distinct column, in order.
+
+    Columns are keyed by a uint64 built from their first 8 bytes, which
+    is exact for plans of at most 8 bytes; longer columns that share a
+    key are then compared in full.
+    """
+    nb, w = signs.shape
+    keys = np.zeros(w, dtype=np.uint64)
+    for b in range(min(nb, 8)):
+        keys |= signs[b].astype(np.uint64) << np.uint64(8 * b)
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]
-    first = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    first = order[new]
+    if nb > 8:
+        # columns that share a key may differ past byte 8: compare them in full
+        shared = ~new | np.append(~new[1:], False)
+        tied = np.sort(order[shared])
+        by_content = np.lexsort(signs[::-1, tied])  # stable: the earliest leads
+        grouped = signs[:, tied[by_content]]
+        lead = np.ones(tied.size, dtype=bool)
+        lead[1:] = np.any(grouped[:, 1:] != grouped[:, :-1], axis=0)
+        first = np.concatenate((order[new & ~shared], tied[by_content[lead]]))
     first.sort()
     return first
 
 
 def _sample_distinct(rng, n, w):
-    """w distinct packed rows, row 0 the identity, the rest drawn uniformly.
+    """w distinct packed flips, flip 0 the identity, the rest drawn uniformly.
 
-    Each batch of draws is deduplicated against the rows kept so far,
-    the zero row 0 included, so the identity is never drawn again.  A
+    Each batch of draws is deduplicated against the flips kept so far,
+    the zero flip 0 included, so the identity is never drawn again.  A
     batch holds 1.25 times the draws expected to fill the gap, given the
-    share of rows not yet seen, so the loop ends even when w is 2^n.
+    share of flips not yet seen, so the loop ends even when w is 2^n.
     """
-    signs = _random_rows(rng, n, w)
-    signs[0] = 0
+    signs = _random_flips(rng, n, w)
+    signs[:, 0] = 0
     kept = _first_occurrences(signs)
     while kept.size < w:
         missing, unseen = w - kept.size, (1 << n) - kept.size
         batch = 5 * missing * (1 << n) // (4 * unseen) + 16
-        signs = np.concatenate((signs[kept], _random_rows(rng, n, batch)))
+        signs = np.concatenate((signs[:, kept], _random_flips(rng, n, batch)), axis=1)
         kept = _first_occurrences(signs)[:w]
-    return signs if kept.size == signs.shape[0] else signs[kept]
+    return signs if kept.size == signs.shape[1] else signs[:, kept]
 
 
 def make_flip_plan(n, w, mode="with-replacement", seed=0):
@@ -147,8 +174,8 @@ def make_flip_plan(n, w, mode="with-replacement", seed=0):
 
     rng = keyed_rng(seed, _PLAN_STREAM)
     if mode == "with-replacement":
-        signs = _random_rows(rng, n, w)
-        signs[0] = 0
+        signs = _random_flips(rng, n, w)
+        signs[:, 0] = 0
     elif n <= _EXHAUSTIVE_MAX_N:
         codes = np.zeros(w, dtype=np.int64)
         codes[1:] = rng.choice((1 << n) - 1, size=w - 1, replace=False) + 1

@@ -15,6 +15,7 @@ from signflip import (
     one_sample_t,
     parametric_score_test,
     quasi_score_test,
+    rao_test,
     sandwich_estimate,
     sandwich_wald_test,
     score_contributions,
@@ -53,6 +54,31 @@ def test_t_validation():
         one_sample_t(np.array([2.0, 2.0, 2.0]))
     with pytest.raises(DesignError, match="finite"):
         one_sample_t(np.array([1.0, np.nan, 2.0]))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+@pytest.mark.parametrize(
+    "method", ["rao", "parametric", "sandwich", "quasi", "t-test"]
+)
+def test_alpha_outside_unit_interval_rejected(method, alpha):
+    rng = np.random.default_rng(229)
+    x, z = rng.normal(size=30), rng.normal(size=30)
+    y = rng.poisson(np.exp(0.2 + 0.4 * z)).astype(float)
+    design = build_design({"x": x, "z": z}, tested=["x"], nuisance=["z"],
+                          intercept=True)
+    fam = Poisson()
+    run = {
+        "rao": lambda: rao_test(
+            score_contributions(y, fit_null(y, design, fam), design, fam),
+            alpha=alpha,
+        ),
+        "parametric": lambda: parametric_score_test(y, design, fam, alpha=alpha),
+        "sandwich": lambda: sandwich_wald_test(y, design, fam, alpha=alpha),
+        "quasi": lambda: quasi_score_test(y, design, fam, alpha=alpha),
+        "t-test": lambda: one_sample_t(y, alpha=alpha),
+    }[method]
+    with pytest.raises(DesignError, match=r"alpha must be in \(0, 1\)"):
+        run()
 
 
 # ------------------------------------------------------------------ #

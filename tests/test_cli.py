@@ -164,6 +164,20 @@ def test_cmd_test_all_skips_quasi_for_gaussian_family(tmp_path, capsys):
     assert captured.out.count("p_value: ") == 4
 
 
+def test_cmd_test_all_rejects_alpha_outside_unit_interval(warpbreaks_csv,
+                                                          capsys):
+    rc = main([
+        "test", "--data", warpbreaks_csv, "--response", "breaks",
+        "--tested", "wool", "--nuisance", "tension", "--intercept",
+        "--family", "poisson", "--method", "all", "--alpha", "1.5",
+        "--w", "200",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "alpha must be in (0, 1)" in captured.err
+    assert "skipped" not in captured.err
+
+
 def test_cmd_test_blank_csv_cell_exits_2(tmp_path, capsys):
     path = tmp_path / "blank.csv"
     path.write_text("y,x,x2\n1,0.5,2\n2,1.5,\n0,-1,3\n4,2,1\n",

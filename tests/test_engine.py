@@ -98,9 +98,30 @@ def test_distinct_sampler_fills_every_row_when_w_is_two_to_the_n():
 
     for n in (1, 3, 8, 9):
         signs = _sample_distinct(keyed_rng(n), n, 2**n)
-        assert signs.shape == (2**n, -(-n // 8))
+        assert signs.shape == (-(-n // 8), 2**n)
         assert _first_occurrences(signs).size == 2**n
-        assert not signs[0].any()
+        assert not signs[:, 0].any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_first_occurrences_matches_dict_oracle(data):
+    # few distinct columns over a 4-symbol byte alphabet make ties common;
+    # a shared 8-byte prefix makes the uint64 keys of long columns collide
+    from signflip.flips import _first_occurrences
+
+    nb = data.draw(st.integers(1, 13), label="nb")
+    column = st.lists(st.sampled_from([0, 1, 128, 255]), min_size=nb, max_size=nb)
+    pool = data.draw(st.lists(column, min_size=1, max_size=8), label="pool")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                               max_size=40), label="picks")
+    signs = np.array([pool[i] for i in picks], dtype=np.uint8).T.copy()
+    if nb > 8 and data.draw(st.booleans(), label="shared prefix"):
+        signs[:8] = signs[:8, :1]
+    first = {}
+    for j in range(signs.shape[1]):
+        first.setdefault(signs[:, j].tobytes(), j)
+    assert _first_occurrences(signs).tolist() == sorted(first.values())
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 30, 54])
@@ -114,17 +135,35 @@ def test_packed_plan_layout(n):
                               mode=mode, seed=n)
         nb = -(-n // 8)
         assert plan.signs.dtype == np.uint8
+        assert plan.signs.shape == (nb, plan.w)
         assert plan.signs.nbytes == plan.w * nb
-        assert not plan.signs[0].any()
+        assert not plan.signs[:, 0].any()
         if n % 8:
-            assert not np.any(plan.signs[:, -1] >> (n % 8))
-        bits = (plan.signs[:, np.arange(n) // 8] >> (np.arange(n) % 8)) & 1
-        assert_array_equal(plan.dense(), 1 - 2 * bits.astype(np.int8))
-    # bit i % 8 of byte i // 8 negates observation i; exhaustive order
-    # counts in binary with the last coordinate fastest
+            assert not np.any(plan.signs[-1] >> (n % 8))
+        bits = (plan.signs[np.arange(n) // 8] >> (np.arange(n) % 8)[:, None]) & 1
+        assert_array_equal(plan.dense(), 1 - 2 * bits.T.astype(np.int8))
+    # bit i % 8 of signs[i // 8, j] negates observation i in flip j;
+    # exhaustive order counts in binary with the last coordinate fastest
     plan = make_flip_plan(3, 8, mode="exhaustive")
-    assert plan.signs[:, 0].tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
+    assert plan.signs[0].tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
     assert_array_equal(plan.dense()[1], [1, 1, -1])
+
+
+@pytest.mark.parametrize("n", [5, 16, 70])
+def test_with_replacement_plan_reads_keyed_stream_byte_major(n):
+    # byte b of flip j is byte b*w + j of the plan stream, padding masked
+    from signflip.flips import _PLAN_STREAM, keyed_rng
+
+    w, seed, nb = 37, 11, -(-n // 8)
+    plan = make_flip_plan(n, w, seed=seed)
+    raw = keyed_rng(seed, _PLAN_STREAM).bit_generator.random_raw(-(-nb * w // 8))
+    stream = np.frombuffer(raw.astype("<u8").tobytes(), dtype=np.uint8)
+    want = np.array([[stream[b * w + j] for j in range(w)] for b in range(nb)],
+                    dtype=np.uint8)
+    if n % 8:
+        want[-1] &= (1 << (n % 8)) - 1
+    assert_array_equal(plan.signs[:, 1:], want[:, 1:])
+    assert not plan.signs[:, 0].any()
 
 
 def test_first_row_is_identity_in_all_modes():
@@ -424,6 +463,19 @@ def test_two_sided_tails_requires_multiples_of_one_over_w():
         decide(sv, 0.1, "two-sided-tails", alpha1=0.033, alpha2=0.05)
     res = decide(sv, 0.1, "two-sided-tails", alpha1=0.05, alpha2=0.05)
     assert res.alternative == "two-sided-tails"
+
+
+def test_two_sided_tails_needs_both_tail_levels_or_neither():
+    # T_1 is the largest of 100 values, so the default tails (0.05 each)
+    # reject; a lone alpha1 = 0.01 is refused, not replaced by the default
+    vals = np.concatenate([[100.0], np.arange(99.0)])
+    sv = StatVector(vals, "scalar")
+    with pytest.raises(DesignError, match="both alpha1 and alpha2"):
+        decide(sv, 0.1, "two-sided-tails", alpha1=0.01)
+    with pytest.raises(DesignError, match="both alpha1 and alpha2"):
+        decide(sv, 0.1, "two-sided-tails", alpha2=0.01)
+    assert decide(sv, 0.1, "two-sided-tails").reject
+    assert not decide(sv, 0.1, "two-sided-tails", alpha1=0.01, alpha2=0.0).reject
 
 
 def test_two_sided_tails_union_of_one_sided_rules():
