@@ -65,4 +65,4 @@ eff = effective_contributions(scores)
 closed_form = (x - x.mean()) * (y - nf.mu_hat)
 print(f"\ngaussian centering identity, max deviation: "
       f"{np.max(np.abs(eff.nu_star[:, 0] - closed_form)):.2e}")
-print(f"projector (here just the covariate mean): {eff.projector.ravel()}")
+print(f"projector (here just the covariate mean): {scores.info.proj.ravel()}")

@@ -9,7 +9,6 @@ type-I-error and power studies.
 """
 
 from .baselines import (
-    SandwichEstimate,
     one_sample_t,
     parametric_score_test,
     quasi_score_test,
@@ -79,7 +78,6 @@ __all__ = [
     "Poisson",
     "RejectionCurve",
     "SCENARIOS",
-    "SandwichEstimate",
     "ScoreSet",
     "SignFlipError",
     "SimConfig",

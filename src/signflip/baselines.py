@@ -6,8 +6,6 @@ t-test.  Everything returns the same TestResult record as the flip
 tests, with method tags identifying the procedure.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import stats
 
@@ -21,7 +19,6 @@ from .glm import (
 )
 
 __all__ = [
-    "SandwichEstimate",
     "sandwich_estimate",
     "rao_test",
     "parametric_score_test",
@@ -38,49 +35,60 @@ def _check_alpha(alpha):
         raise DesignError("alpha must be in (0, 1)")
 
 
-def _tail_p(stat, alternative, dist):
+def _tail_p(stat, alternative, dist, *shape):
+    # shape parameters go to dist itself: a frozen scipy distribution per
+    # call would leave reference cycles behind for the garbage collector
     if alternative == "greater":
-        return float(dist.sf(stat))
+        return float(dist.sf(stat, *shape))
     if alternative == "less":
-        return float(dist.cdf(stat))
+        return float(dist.cdf(stat, *shape))
     if alternative in _TWO_SIDED:
-        return float(2.0 * dist.sf(abs(stat)))
+        return float(2.0 * dist.sf(abs(stat), *shape))
     raise DesignError(f"unknown alternative {alternative!r}")
 
 
-@dataclass(frozen=True)
-class SandwichEstimate:
-    """HC0 robust covariance pieces for the full-fit coefficients.
+def _normal_or_chi2(u, cov, alternative, alpha, method):
+    """Refer the d-vector u with covariance cov to its null reference.
 
-    ``xtwx`` is the bread X'WX (applied only through solves), ``meat``
-    is the outer-product sum of the full-fit score contributions, and
-    ``vcov`` = bread^-1 meat bread^-1.
+    d = 1 gives z = u/sqrt(cov) against the standard normal; d > 1 gives
+    u' cov^-1 u against a chi-squared d upper tail (two-sided only).
     """
+    d = u.shape[0]
+    if d == 1:
+        var = float(cov[0, 0])
+        if not var > 0:
+            raise NumericalError(f"{method} variance is not positive")
+        statistic = float(u[0]) / np.sqrt(var)
+        p = _tail_p(statistic, alternative, stats.norm)
+    else:
+        if alternative not in _TWO_SIDED:
+            raise DesignError(f"the d-dimensional {method} test is two-sided only")
+        statistic = float(u @ solve_spd(cov, u))
+        p = float(stats.chi2.sf(statistic, d))
+    return TestResult(
+        statistic=statistic,
+        p_value=p,
+        reject=bool(p <= alpha),
+        alpha=float(alpha),
+        alternative=alternative,
+        method=method,
+    )
 
-    xtwx: np.ndarray
-    meat: np.ndarray
-    vcov: np.ndarray
 
+def sandwich_estimate(y, full_fit, design, family):
+    """HC0 robust covariance matrix of the full-fit coefficients.
 
-def sandwich_estimate(y, full_fit, design, family, meat=None):
-    """Robust covariance of the full-fit coefficients.
-
-    ``meat`` can be injected (e.g. X'WX reproduces the model-based
-    covariance exactly); by default it is sum_i u_i u_i' with u_i the
-    score contribution rows of the full fit.
+    Returns bread^-1 meat bread^-1 with bread X'WX (applied only through
+    solves) and meat sum_i u_i u_i', u_i the score contribution rows of
+    the full fit.
     """
     X = design.X
-    W = full_fit.W_hat
-    xtwx = X.T @ (W[:, None] * X)
-    if meat is None:
-        resid = (np.asarray(y, dtype=float) - full_fit.mu_hat)
-        resid = resid / family.dispersion(design.n)
-        U = X * resid[:, None]
-        meat = U.T @ U
-    tmp = solve_spd(xtwx, meat)          # bread^-1 meat
+    xtwx = X.T @ (full_fit.W_hat[:, None] * X)
+    resid = (np.asarray(y, dtype=float) - full_fit.mu_hat) / family.dispersion(design.n)
+    U = X * resid[:, None]
+    tmp = solve_spd(xtwx, U.T @ U)       # bread^-1 meat
     vcov = solve_spd(xtwx, tmp.T).T      # bread^-1 meat bread^-1
-    vcov = 0.5 * (vcov + vcov.T)
-    return SandwichEstimate(xtwx=xtwx, meat=np.asarray(meat, dtype=float), vcov=vcov)
+    return 0.5 * (vcov + vcov.T)
 
 
 def rao_test(scores, alternative="two-sided", alpha=0.05):
@@ -92,31 +100,10 @@ def rao_test(scores, alternative="two-sided", alpha=0.05):
     S*' (I*)^-1 S* with a chi-squared d upper tail (two-sided only).
     """
     _check_alpha(alpha)
-    n, d = scores.nu.shape
+    n = scores.nu.shape[0]
     s_star = scores.nu.sum(axis=0) / np.sqrt(n)  # equals the effective score at the MLE
-    i_star = scores.info.i_star
-    if d == 1:
-        var = float(i_star[0, 0])
-        if not var > 0:
-            raise NumericalError("effective information is not positive")
-        z = float(s_star[0]) / np.sqrt(var)
-        p = _tail_p(z, alternative, stats.norm)
-        statistic = z
-    else:
-        if alternative not in _TWO_SIDED:
-            raise DesignError(
-                "the d-dimensional parametric score test is two-sided only"
-            )
-        statistic = float(s_star @ solve_spd(i_star, s_star))
-        p = float(stats.chi2.sf(statistic, d))
-    return TestResult(
-        statistic=statistic,
-        p_value=p,
-        reject=bool(p <= alpha),
-        alpha=float(alpha),
-        alternative=alternative,
-        method="parametric-score",
-    )
+    return _normal_or_chi2(s_star, scores.effective_information(), alternative, alpha,
+                           "parametric-score")
 
 
 def parametric_score_test(y, design, family, alternative="two-sided", alpha=0.05):
@@ -126,8 +113,7 @@ def parametric_score_test(y, design, family, alternative="two-sided", alpha=0.05
     return rao_test(scores, alternative, alpha)
 
 
-def sandwich_wald_test(y, design, family, alternative="two-sided", alpha=0.05,
-                       meat=None):
+def sandwich_wald_test(y, design, family, alternative="two-sided", alpha=0.05):
     """Wald test of beta = null_value with the HC0 sandwich covariance.
 
     d = 1 refers z = (beta_hat - beta0)/se_robust to the standard
@@ -136,40 +122,19 @@ def sandwich_wald_test(y, design, family, alternative="two-sided", alpha=0.05,
     """
     _check_alpha(alpha)
     full_fit = fit_full(y, design, family)
-    est = sandwich_estimate(y, full_fit, design, family, meat=meat)
+    vcov = sandwich_estimate(y, full_fit, design, family)
     idx = list(design.tested)
     delta = full_fit.coef[idx] - design.null_value
-    vdd = est.vcov[np.ix_(idx, idx)]
-    if design.d == 1:
-        var = float(vdd[0, 0])
-        if not var > 0:
-            raise NumericalError("sandwich variance of the tested coefficient is not positive")
-        z = float(delta[0]) / np.sqrt(var)
-        p = _tail_p(z, alternative, stats.norm)
-        statistic = z
-    else:
-        if alternative not in _TWO_SIDED:
-            raise DesignError("the d-dimensional sandwich Wald test is two-sided only")
-        statistic = float(delta @ solve_spd(vdd, delta))
-        p = float(stats.chi2.sf(statistic, design.d))
-    return TestResult(
-        statistic=statistic,
-        p_value=p,
-        reject=bool(p <= alpha),
-        alpha=float(alpha),
-        alternative=alternative,
-        method="sandwich-wald",
-    )
+    return _normal_or_chi2(delta, vcov[np.ix_(idx, idx)], alternative, alpha,
+                           "sandwich-wald")
 
 
-def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05,
-                     dispersion=None):
+def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05):
     """Quasi-Poisson Wald t-test with Pearson dispersion from the full fit.
 
     phi_hat = Pearson X^2 / (n - k); the statistic
     t = (beta_hat - beta0) / sqrt(phi_hat * [ (X'WX)^-1 ]_DD) is referred
-    to Student's t on n - k degrees of freedom.  ``dispersion`` may be
-    injected to pin phi_hat for checks.
+    to Student's t on n - k degrees of freedom.
     """
     _check_alpha(alpha)
     if family.name != "poisson":
@@ -180,9 +145,8 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05,
         raise DesignError("quasi dispersion needs n > k")
     full_fit = fit_full(y, design, family)
     y = np.asarray(y, dtype=float)
-    if dispersion is None:
-        pearson = float(np.sum((y - full_fit.mu_hat) ** 2 / family.variance(full_fit.mu_hat)))
-        dispersion = pearson / (design.n - design.k)
+    pearson = float(np.sum((y - full_fit.mu_hat) ** 2 / family.variance(full_fit.mu_hat)))
+    dispersion = pearson / (design.n - design.k)
     if not dispersion > 0:
         raise NumericalError("quasi dispersion estimate is not positive")
     X = design.X
@@ -196,7 +160,7 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05,
     se = np.sqrt(dispersion * bread_dd)
     t = float(full_fit.coef[j] - design.null_value[0]) / se
     df = design.n - design.k
-    p = _tail_p(t, alternative, stats.t(df))
+    p = _tail_p(t, alternative, stats.t, df)
     return TestResult(
         statistic=t,
         p_value=p,
@@ -220,7 +184,7 @@ def one_sample_t(y, mu0=0.0, alternative="two-sided", alpha=0.05):
     if s == 0.0:
         raise NumericalError("zero sample variance")
     t = float(np.sqrt(n) * (np.mean(y) - mu0) / s)
-    p = _tail_p(t, alternative, stats.t(n - 1))
+    p = _tail_p(t, alternative, stats.t, n - 1)
     return TestResult(
         statistic=t,
         p_value=p,

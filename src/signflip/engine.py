@@ -47,15 +47,14 @@ _CHUNK = 1 << 14  # flips summed per block
 
 @dataclass(frozen=True)
 class EffectiveScores:
-    """Effective score contributions and the projector that built them.
+    """Effective score contributions.
 
-    ``nu_star = nu - nu_nuis @ projector.T`` exactly; the column sums of
+    ``nu_star = nu - nu_nuis @ info.proj`` exactly; the column sums of
     ``nu_star`` equal those of ``nu`` when the nuisance estimate is the
     null MLE (the projected term then sums to zero).
     """
 
     nu_star: np.ndarray   # (n, d)
-    projector: np.ndarray  # (d, k-d): I12' I22^-1
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,6 @@ class StatVector:
     """Flip statistics T_1..T_w; entry 0 is the observed statistic."""
 
     values: np.ndarray
-    kind: str  # "scalar" or "quadratic"
-    vhat_tag: str = None
 
 
 @dataclass(frozen=True)
@@ -81,15 +78,9 @@ class TestResult:
 
 def effective_contributions(score_set):
     """Project the nuisance contributions out of the tested scores."""
-    info = score_set.info
-    if info.I22.shape[0] == 0:
-        d = score_set.nu.shape[1]
-        return EffectiveScores(
-            nu_star=score_set.nu.copy(), projector=np.zeros((d, 0))
-        )
-    proj_t = solve_spd(info.I22, info.I12)  # (k-d, d) = I22^-1 I12
-    nu_star = score_set.nu - score_set.nu_nuis @ proj_t
-    return EffectiveScores(nu_star=nu_star, projector=proj_t.T)
+    return EffectiveScores(
+        nu_star=score_set.nu - score_set.nu_nuis @ score_set.info.proj
+    )
 
 
 def _byte_tables(contribs):
@@ -154,10 +145,10 @@ def flip_statistics_scalar(contribs, plan):
             f"contributions have length {contribs.shape[0]}, plan has n={plan.n}"
         )
     values = _signed_sums(plan.signs, contribs[:, None])[:, 0] / math.sqrt(plan.n)
-    return StatVector(values=values, kind="scalar")
+    return StatVector(values=values)
 
 
-def flip_statistics_quadratic(contribs, vhat, plan, vhat_tag="custom"):
+def flip_statistics_quadratic(contribs, vhat, plan):
     """Quadratic-form statistics s_j' vhat s_j for a d-column block.
 
     ``vhat`` must be symmetric positive semi-definite (checked by a
@@ -183,7 +174,7 @@ def flip_statistics_quadratic(contribs, vhat, plan, vhat_tag="custom"):
     s = _signed_sums(plan.signs, contribs) / math.sqrt(plan.n)
     values = np.einsum("wd,de,we->w", s, vhat, s)
     np.maximum(values, 0.0, out=values)  # guard off sub-eps negatives
-    return StatVector(values=values, kind="quadratic", vhat_tag=vhat_tag)
+    return StatVector(values=values)
 
 
 def _floor_multiple(alpha, w):
@@ -278,7 +269,7 @@ def decide(stat_vector, alpha, alternative, alpha1=None, alpha2=None,
 
 def flip_test(y, design, family, method="effective", alternative="two-sided-abs",
               alpha=0.05, w=5000, mode="with-replacement", seed=0,
-              vhat="identity", alpha1=None, alpha2=None):
+              vhat="identity"):
     """Sign-flip score test of H0: beta = null_value.
 
     Fits the null model, forms per-observation score contributions
@@ -304,14 +295,13 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
         if vhat == "identity":
             vmat = np.eye(design.d)
         elif vhat == "inv-effective-info":
-            vmat = solve_spd(scores.info.i_star, np.eye(design.d))
+            vmat = solve_spd(scores.effective_information(), np.eye(design.d))
             vmat = 0.5 * (vmat + vmat.T)
         else:
             raise DesignError(
                 f"vhat must be 'identity' or 'inv-effective-info', got {vhat!r}"
             )
-        stats = flip_statistics_quadratic(contribs, vmat, plan, vhat_tag=vhat)
+        stats = flip_statistics_quadratic(contribs, vmat, plan)
 
-    result = decide(stats, alpha, alternative, alpha1=alpha1, alpha2=alpha2,
-                    method=f"flip-{method}")
+    result = decide(stats, alpha, alternative, method=f"flip-{method}")
     return replace(result, w=w, seed=int(seed))

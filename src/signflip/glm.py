@@ -5,8 +5,8 @@ hypothesized tested effect absorbed into the offset; the full fit runs
 the same IRLS over all columns.  Convergence uses the relative deviance
 criterion |dev - dev_old| < tol * (|dev| + 0.1) with step-halving on
 deviance increases or invalid means.  All symmetric solves go through a
-Cholesky factorization with a pivoted symmetric fallback; explicit
-matrix inverses are never formed.
+Cholesky factorization, and a matrix that is not positive definite
+raises NumericalError; explicit matrix inverses are never formed.
 """
 
 from dataclasses import dataclass
@@ -35,10 +35,10 @@ COND_LIMIT = 1e12
 
 
 def solve_spd(A, B):
-    """Solve A X = B for symmetric positive-definite A.
+    """Solve A X = B for symmetric positive-definite A by Cholesky.
 
-    Cholesky first; on failure falls back to the pivoted symmetric
-    (Bunch-Kaufman) solver.  Raises NumericalError when both fail.
+    An empty A gives zeros of B's shape.  Raises NumericalError when the
+    factorization fails, i.e. A is not positive definite.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -47,12 +47,20 @@ def solve_spd(A, B):
     try:
         c = scipy.linalg.cho_factor(A, lower=True)
         return scipy.linalg.cho_solve(c, B)
-    except (scipy.linalg.LinAlgError, ValueError):
-        pass
-    try:
-        return scipy.linalg.solve(A, B, assume_a="sym")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"symmetric solve failed: {exc}") from exc
+        raise NumericalError(f"matrix is not positive definite: {exc}") from exc
+
+
+def _check_conditioned(M, what):
+    """Raise NumericalError unless symmetric M is positive definite.
+
+    Its condition number must also be at most COND_LIMIT.  An empty M
+    passes.
+    """
+    if M.size:
+        evals = np.linalg.eigvalsh(M)
+        if evals[0] <= 0 or evals[-1] / evals[0] > COND_LIMIT:
+            raise NumericalError(f"{what} is numerically singular")
 
 
 @dataclass(frozen=True)
@@ -79,13 +87,15 @@ class InfoBlocks:
 
     ``I11`` is d x d for the tested coordinates, ``I12`` is
     (k-d) x d (nuisance rows, tested columns) and ``I22`` is the
-    nuisance block.  ``i_star`` is the effective information
-    I11 - I12' I22^-1 I12, computed by a factorization solve.
+    nuisance block.  ``proj`` is the (k-d) x d projection I22^-1 I12
+    (zero rows without nuisance columns), computed by a factorization
+    solve, and ``i_star`` the effective information I11 - I12' proj.
     """
 
     I11: np.ndarray
     I12: np.ndarray
     I22: np.ndarray
+    proj: np.ndarray
     i_star: np.ndarray
 
 
@@ -103,6 +113,23 @@ class ScoreSet:
     nu: np.ndarray
     nu_nuis: np.ndarray
     info: InfoBlocks
+
+    def effective_information(self):
+        """I*, checked to be invertible before anyone inverts it.
+
+        With k > n columns the information n^-1 X'WX has rank at most n,
+        so I* is singular by rank: DesignError naming d, k and n.
+        Otherwise I* gets the condition check of the nuisance block.
+        """
+        n, d = self.nu.shape
+        k = d + self.nu_nuis.shape[1]
+        if k > n:
+            raise DesignError(
+                f"the effective information of d={d} tested columns is singular: "
+                f"the design has k={k} columns for n={n} observations"
+            )
+        _check_conditioned(self.info.i_star, "effective information")
+        return self.info.i_star
 
 
 def _irls(X, y, family, offset):
@@ -206,16 +233,9 @@ def information_blocks(null_fit, design):
     I11 = XD.T @ WXD / n
     I12 = Z.T @ WXD / n
     I22 = Z.T @ (W[:, None] * Z) / n
-    if I22.shape[0]:
-        evals = np.linalg.eigvalsh(I22)
-        if evals[0] <= 0 or evals[-1] / evals[0] > COND_LIMIT:
-            raise NumericalError(
-                "nuisance information block is numerically singular"
-            )
-        i_star = I11 - I12.T @ solve_spd(I22, I12)
-    else:
-        i_star = I11.copy()
-    return InfoBlocks(I11=I11, I12=I12, I22=I22, i_star=i_star)
+    _check_conditioned(I22, "nuisance information block")
+    proj = solve_spd(I22, I12)
+    return InfoBlocks(I11=I11, I12=I12, I22=I22, proj=proj, i_star=I11 - I12.T @ proj)
 
 
 def score_contributions(y, null_fit, design, family):

@@ -245,7 +245,7 @@ def _glm_rep(cfg, rep):
         if d == 1:
             stats = flip_statistics_scalar(contribs[:, 0], plan)
         else:
-            stats = flip_statistics_quadratic(contribs, np.eye(d), plan, "identity")
+            stats = flip_statistics_quadratic(contribs, np.eye(d), plan)
         return p_value(stats, "two-sided-abs")
 
     return {

@@ -1,4 +1,4 @@
-"""Classical baseline tests against closed forms, hooks and simulation."""
+"""Classical baseline tests against closed forms, oracles and simulation."""
 
 import numpy as np
 import pytest
@@ -146,15 +146,15 @@ def test_sandwich_vcov_properties_and_model_based_reduction():
                           intercept=True)
     fam = Poisson()
     ff = fit_full(y, design, fam)
-    est = sandwich_estimate(y, ff, design, fam)
-    assert_allclose(est.vcov, est.vcov.T, atol=1e-12)
-    assert np.all(np.linalg.eigvalsh(est.vcov) > -1e-12)
+    vcov = sandwich_estimate(y, ff, design, fam)
+    assert_allclose(vcov, vcov.T, atol=1e-12)
+    assert np.all(np.linalg.eigvalsh(vcov) > -1e-12)
 
-    # injecting meat = X'WX reduces the sandwich to the model-based covariance
+    # explicit-inverse oracle: inv(X'WX) U'U inv(X'WX), U the full-fit scores
     X = design.X
-    xtwx = X.T @ (ff.W_hat[:, None] * X)
-    est_model = sandwich_estimate(y, ff, design, fam, meat=xtwx)
-    assert_allclose(est_model.vcov @ xtwx, np.eye(design.k), atol=1e-8)
+    bread_inv = np.linalg.inv(X.T @ (ff.W_hat[:, None] * X))
+    U = X * (y - ff.mu_hat)[:, None]
+    assert_allclose(vcov, bread_inv @ (U.T @ U) @ bread_inv, rtol=1e-10)
 
 
 def test_sandwich_close_to_model_based_under_homoscedasticity():
@@ -167,12 +167,12 @@ def test_sandwich_close_to_model_based_under_homoscedasticity():
         design = build_design({"x": x}, tested=["x"], intercept=True)
         fam = Gaussian()
         ff = fit_full(y, design, fam)
-        est = sandwich_estimate(y, ff, design, fam)
+        vcov = sandwich_estimate(y, ff, design, fam)
         X = design.X
         xtwx = X.T @ X
         model_vcov = solve_spd(xtwx, np.eye(2))
         j = design.tested[0]
-        ratios[r] = np.sqrt(est.vcov[j, j]) / np.sqrt(model_vcov[j, j])
+        ratios[r] = np.sqrt(vcov[j, j]) / np.sqrt(model_vcov[j, j])
     assert abs(ratios.mean() - 1.0) < 0.2
 
 
@@ -210,22 +210,24 @@ def test_sandwich_tests_null_value_not_zero():
 # ------------------------------------------------------------------ #
 
 def test_quasi_dispersion_hook_reduces_to_model_wald():
+    # t * sqrt(phi_hat) is the model-based Wald z, phi_hat = Pearson X^2/(n-k)
     rng = np.random.default_rng(251)
     x, z = rng.normal(size=80), rng.normal(size=80)
     y = rng.poisson(np.exp(0.2 + 0.3 * z)).astype(float)
     design = build_design({"x": x, "z": z}, tested=["x"], nuisance=["z"],
                           intercept=True)
     fam = Poisson()
-    res = quasi_score_test(y, design, fam, dispersion=1.0)
+    res = quasi_score_test(y, design, fam)
     ff = fit_full(y, design, fam)
     X = design.X
     xtwx = X.T @ (ff.W_hat[:, None] * X)
     j = design.tested[0]
     z_model = ff.coef[j] / np.sqrt(solve_spd(xtwx, np.eye(design.k))[j, j])
-    assert_allclose(res.statistic, z_model, rtol=1e-10)
-    # p differs only through the t reference
-    assert_allclose(res.p_value,
-                    2 * stats.t(design.n - design.k).sf(abs(z_model)),
+    phi_hat = np.sum((y - ff.mu_hat) ** 2 / ff.mu_hat) / (design.n - design.k)
+    assert_allclose(res.statistic * np.sqrt(phi_hat), z_model, rtol=1e-10)
+    # p comes from the t reference on n - k degrees of freedom
+    t_model = z_model / np.sqrt(phi_hat)
+    assert_allclose(res.p_value, 2 * stats.t(design.n - design.k).sf(abs(t_model)),
                     rtol=1e-12)
 
 

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import signflip
 from signflip import warpbreaks
 from signflip.cli import main
 
@@ -89,6 +93,35 @@ def test_cmd_test_non_finite_covariate_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_cmd_test_singular_effective_information_exits_2(tmp_path):
+    # 29 tested columns, a nuisance column and an intercept on 30 rows: I* is
+    # singular, which is a bad design (exit 2), never a warning or a p-value
+    rng = np.random.default_rng(0)
+    n, d = 30, 29
+    X = rng.normal(size=(n, d + 1))
+    y = rng.poisson(np.exp(0.2 + 0.3 * X[:, d]))
+    names = [f"x{j}" for j in range(d)]
+    rows = [",".join(["y", *names, "z"])]
+    rows += [",".join([str(y[i]), *(f"{v:.17g}" for v in X[i])]) for i in range(n)]
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(signflip.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "signflip.cli", "test", "--data", str(path),
+         "--response", "y", "--tested", ",".join(names), "--nuisance", "z",
+         "--intercept", "--family", "poisson", "--method", "effective",
+         "--vhat", "inv-effective-info"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "d=29" in proc.stderr and "k=31" in proc.stderr and "n=30" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cmd_test_json_roundtrip(warpbreaks_csv, capsys):

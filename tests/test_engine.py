@@ -188,7 +188,7 @@ def test_effective_scores_gaussian_centering_identity():
     eff = effective_contributions(scores)
     expected = (x - x.mean()) * (y - nf.mu_hat)
     assert np.max(np.abs(eff.nu_star[:, 0] - expected)) < 1e-10
-    assert_allclose(eff.projector, [[x.mean()]], rtol=1e-12)
+    assert_allclose(scores.info.proj, [[x.mean()]], rtol=1e-12)
 
 
 def test_effective_equals_basic_when_orthogonal():
@@ -211,6 +211,7 @@ def test_effective_equals_basic_when_orthogonal():
         I11=scores.info.I11,
         I12=np.zeros_like(scores.info.I12),
         I22=scores.info.I22,
+        proj=np.zeros_like(scores.info.proj),
         i_star=scores.info.I11,
     )
     eff0 = effective_contributions(
@@ -374,7 +375,7 @@ def test_quadratic_rao_statistic_at_identity_flip():
     vhat = solve_spd(i_star, np.eye(d))
     vhat = 0.5 * (vhat + vhat.T)
     plan = make_flip_plan(n, 10, seed=10)
-    sv = flip_statistics_quadratic(eff.nu_star, vhat, plan, "inv-effective-info")
+    sv = flip_statistics_quadratic(eff.nu_star, vhat, plan)
     s = eff.nu_star.sum(axis=0) / np.sqrt(n)
     rao = float(s @ solve_spd(i_star, s))
     assert abs(sv.values[0] - rao) < 1e-10
@@ -397,21 +398,21 @@ def test_quadratic_rejects_bad_vhat():
 
 def test_decide_greater_w20_rejects_only_unique_max():
     vals = np.concatenate([[5.0], np.linspace(-1, 4, 19)])
-    res = decide(StatVector(vals, "scalar"), 0.05, "greater")
+    res = decide(StatVector(vals), 0.05, "greater")
     assert res.reject
     tied = vals.copy()
     tied[1] = 5.0
-    res = decide(StatVector(tied, "scalar"), 0.05, "greater")
+    res = decide(StatVector(tied), 0.05, "greater")
     assert not res.reject
 
 
 def test_decide_all_equal_never_rejects():
     vals = np.full(40, 2.5)
     for alternative in ("greater", "less", "two-sided-abs", "two-sided-tails"):
-        res = decide(StatVector(vals, "scalar"), 0.25, alternative)
+        res = decide(StatVector(vals), 0.25, alternative)
         assert not res.reject
         if alternative != "two-sided-tails":
-            assert p_value(StatVector(vals, "scalar"), alternative) == 1.0
+            assert p_value(StatVector(vals), alternative) == 1.0
 
 
 def test_decide_and_p_value_agree_without_ties():
@@ -419,7 +420,7 @@ def test_decide_and_p_value_agree_without_ties():
     w = 37
     for _ in range(10_000):
         vals = rng.normal(size=w)
-        sv = StatVector(vals, "scalar")
+        sv = StatVector(vals)
         alpha = float(rng.uniform(0.02, 0.5))
         threshold = np.floor(alpha * w + 1e-9) / w
         assert decide(sv, alpha, "greater").reject == (
@@ -433,7 +434,7 @@ def test_decide_matches_first_principles_oracle():
         w = int(rng.integers(5, 60))
         vals = rng.normal(size=w)
         alpha = float(rng.uniform(0.01, 0.6))
-        sv = StatVector(vals, "scalar")
+        sv = StatVector(vals)
         assert decide(sv, alpha, "greater").reject == oracle_reject_greater(
             list(vals), alpha
         )
@@ -447,18 +448,18 @@ def test_decide_matches_first_principles_oracle():
 )
 def test_decide_matches_oracle_on_tied_integer_statistics(values, alpha):
     vals = np.asarray(values, dtype=float)
-    assert decide(StatVector(vals, "scalar"), alpha, "greater").reject == (
+    assert decide(StatVector(vals), alpha, "greater").reject == (
         oracle_reject_greater(list(vals), alpha)
     )
     # less is greater on the negated statistics
-    assert decide(StatVector(vals, "scalar"), alpha, "less").reject == (
+    assert decide(StatVector(vals), alpha, "less").reject == (
         oracle_reject_greater(list(-vals), alpha)
     )
 
 
 def test_two_sided_tails_requires_multiples_of_one_over_w():
     vals = np.linspace(-1, 1, 20)
-    sv = StatVector(vals, "scalar")
+    sv = StatVector(vals)
     with pytest.raises(DesignError, match="multiples"):
         decide(sv, 0.1, "two-sided-tails", alpha1=0.033, alpha2=0.05)
     res = decide(sv, 0.1, "two-sided-tails", alpha1=0.05, alpha2=0.05)
@@ -469,7 +470,7 @@ def test_two_sided_tails_needs_both_tail_levels_or_neither():
     # T_1 is the largest of 100 values, so the default tails (0.05 each)
     # reject; a lone alpha1 = 0.01 is refused, not replaced by the default
     vals = np.concatenate([[100.0], np.arange(99.0)])
-    sv = StatVector(vals, "scalar")
+    sv = StatVector(vals)
     with pytest.raises(DesignError, match="both alpha1 and alpha2"):
         decide(sv, 0.1, "two-sided-tails", alpha1=0.01)
     with pytest.raises(DesignError, match="both alpha1 and alpha2"):
@@ -483,7 +484,7 @@ def test_two_sided_tails_union_of_one_sided_rules():
     w = 40
     for _ in range(500):
         vals = rng.normal(size=w)
-        sv = StatVector(vals, "scalar")
+        sv = StatVector(vals)
         tails = decide(sv, 0.1, "two-sided-tails", alpha1=0.05, alpha2=0.05)
         lo = decide(sv, 0.05, "less")
         hi = decide(sv, 0.05, "greater")
@@ -492,9 +493,9 @@ def test_two_sided_tails_union_of_one_sided_rules():
 
 def test_p_value_counting_and_bounds():
     vals = np.concatenate([[10.0], np.arange(99, dtype=float)])
-    sv = StatVector(vals, "scalar")
-    assert p_value(StatVector(np.concatenate([[1000.0], np.arange(99.0)]),
-                              "scalar"), "greater") == 0.01
+    sv = StatVector(vals)
+    assert p_value(StatVector(np.concatenate([[1000.0], np.arange(99.0)])),
+                   "greater") == 0.01
     assert p_value(sv, "greater") >= 1 / 100
     with pytest.raises(DesignError):
         p_value(sv, "two-sided-tails")
@@ -624,8 +625,7 @@ def test_effective_score_nuisance_orthogonality():
     fam = Poisson()
     nf = fit_null(y, design, fam)
     scores = score_contributions(y, nf, design, fam)
-    eff = effective_contributions(scores)
-    x_star = design.X_tested - design.X_nuisance @ eff.projector.T
+    x_star = design.X_tested - design.X_nuisance @ scores.info.proj
     cross = x_star.T @ (nf.W_hat[:, None] * design.X_nuisance) / n
     assert np.max(np.abs(cross)) < 1e-8
 

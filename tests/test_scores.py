@@ -1,5 +1,7 @@
 """Score contributions, information blocks and the log-likelihood."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,10 +17,14 @@ from signflip import (
     build_design,
     fit_full,
     fit_null,
+    flip_test,
     information_blocks,
     log_likelihood,
+    parametric_score_test,
+    rao_test,
     score_contributions,
 )
+from signflip.glm import solve_spd
 from oracles import fd_gradient, info_elementwise
 
 
@@ -174,6 +180,84 @@ def test_information_singular_nuisance_block_errors():
     )
     with pytest.raises(NumericalError, match="singular"):
         information_blocks(fake_fit, design)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 2.0], [2.0, 1.0]])],
+    ids=["singular", "indefinite"],
+)
+def test_solve_spd_refuses_matrices_that_are_not_positive_definite(A):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not positive definite"):
+            solve_spd(A, np.ones(2))
+
+
+def test_solve_spd_empty_system_gives_zeros_of_rhs_shape():
+    for B in (np.zeros(0), np.zeros((0, 3))):
+        out = solve_spd(np.zeros((0, 0)), B)
+        assert out.shape == B.shape
+        assert not np.any(out)
+
+
+def _wide_poisson(n, d, seed):
+    """Poisson counts; d tested columns, one nuisance column, an intercept."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    z = rng.normal(size=n)
+    y = rng.poisson(np.exp(0.2 + 0.3 * z)).astype(float)
+    table = {f"x{j}": X[:, j] for j in range(d)}
+    table["z"] = z
+    design = build_design(table, tested=[f"x{j}" for j in range(d)],
+                          nuisance=["z"], intercept=True)
+    return y, design
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n, d", [(30, 29), (30, 40), (200, 1000)])
+def test_singular_effective_information_never_becomes_a_p_value(n, d, seed):
+    # k = d + 2 > n columns: I* has rank below d, so nothing may invert it
+    y, design = _wide_poisson(n, d, seed)
+    fam = Poisson()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = score_contributions(y, fit_null(y, design, fam), design, fam)
+        for run in (
+            scores.effective_information,
+            lambda: rao_test(scores),
+            lambda: parametric_score_test(y, design, fam),
+            lambda: flip_test(y, design, fam, w=100, vhat="inv-effective-info"),
+        ):
+            with pytest.raises(DesignError, match=f"d={d} .* k={d + 2} .* n={n} "):
+                run()
+
+
+def test_ill_conditioned_effective_information_is_a_numerical_failure():
+    # k <= n, but the two tested columns are nearly collinear
+    rng = np.random.default_rng(71)
+    n = 60
+    x1, z = rng.normal(size=n), rng.normal(size=n)
+    x2 = x1 + 1e-9 * rng.normal(size=n)
+    y = rng.poisson(np.exp(0.2 + 0.3 * z)).astype(float)
+    design = build_design({"x1": x1, "x2": x2, "z": z}, tested=["x1", "x2"],
+                          nuisance=["z"], intercept=True)
+    fam = Poisson()
+    scores = score_contributions(y, fit_null(y, design, fam), design, fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (
+            lambda: rao_test(scores),
+            lambda: flip_test(y, design, fam, w=100, vhat="inv-effective-info"),
+        ):
+            with pytest.raises(NumericalError, match="effective information"):
+                run()
+    # identity vhat never inverts I*, so that flip test still runs
+    assert 0.0 < flip_test(y, design, fam, w=100).p_value <= 1.0
+
+    y, design = _wide_poisson(60, 2, 0)
+    scores = score_contributions(y, fit_null(y, design, fam), design, fam)
+    assert scores.effective_information() is scores.info.i_star
 
 
 def test_log_likelihood_gaussian_quadratic_identity():
