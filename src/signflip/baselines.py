@@ -3,11 +3,14 @@
 Parametric (Rao) effective-score test, HC0 sandwich Wald test,
 quasi-Poisson Wald test with Pearson dispersion, and the one-sample
 t-test.  Everything returns the same TestResult record as the flip
-tests, with method tags identifying the procedure.
+tests, with method tags identifying the procedure.  Tail probabilities
+come from scipy.special's ndtr, stdtr and chdtrc, the functions behind
+scipy's norm, t and chi2 distributions, so p-values equal theirs bit
+for bit without importing scipy's statistics package.
 """
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, ndtr, stdtr
 
 from .engine import TestResult
 from .exceptions import DesignError, NumericalError
@@ -35,15 +38,14 @@ def _check_alpha(alpha):
         raise DesignError("alpha must be in (0, 1)")
 
 
-def _tail_p(stat, alternative, dist, *shape):
-    # shape parameters go to dist itself: a frozen scipy distribution per
-    # call would leave reference cycles behind for the garbage collector
+def _tail_p(stat, alternative, cdf):
+    """p-value of stat under a symmetric null with lower-tail function cdf."""
     if alternative == "greater":
-        return float(dist.sf(stat, *shape))
+        return float(cdf(-stat))
     if alternative == "less":
-        return float(dist.cdf(stat, *shape))
+        return float(cdf(stat))
     if alternative in _TWO_SIDED:
-        return float(2.0 * dist.sf(abs(stat), *shape))
+        return float(2.0 * cdf(-abs(stat)))
     raise DesignError(f"unknown alternative {alternative!r}")
 
 
@@ -59,12 +61,13 @@ def _normal_or_chi2(u, cov, alternative, alpha, method):
         if not var > 0:
             raise NumericalError(f"{method} variance is not positive")
         statistic = float(u[0]) / np.sqrt(var)
-        p = _tail_p(statistic, alternative, stats.norm)
+        p = _tail_p(statistic, alternative, ndtr)
     else:
         if alternative not in _TWO_SIDED:
             raise DesignError(f"the d-dimensional {method} test is two-sided only")
         statistic = float(u @ solve_spd(cov, u))
-        p = float(stats.chi2.sf(statistic, d))
+        # chi2.sf is 1 below 0, where chdtrc gives NaN
+        p = float(chdtrc(d, max(statistic, 0.0)))
     return TestResult(
         statistic=statistic,
         p_value=p,
@@ -152,15 +155,13 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05):
     X = design.X
     xtwx = X.T @ (full_fit.W_hat[:, None] * X)
     j = design.tested[0]
-    unit = np.zeros(design.k)
-    unit[j] = 1.0
-    bread_dd = float(solve_spd(xtwx, unit)[j])
+    bread_dd = float(solve_spd(xtwx, np.eye(design.k)[j])[j])
     if not bread_dd > 0:
         raise NumericalError("model-based variance of the tested coefficient is not positive")
     se = np.sqrt(dispersion * bread_dd)
     t = float(full_fit.coef[j] - design.null_value[0]) / se
     df = design.n - design.k
-    p = _tail_p(t, alternative, stats.t, df)
+    p = _tail_p(t, alternative, lambda x: stdtr(df, x))
     return TestResult(
         statistic=t,
         p_value=p,
@@ -184,7 +185,7 @@ def one_sample_t(y, mu0=0.0, alternative="two-sided", alpha=0.05):
     if s == 0.0:
         raise NumericalError("zero sample variance")
     t = float(np.sqrt(n) * (np.mean(y) - mu0) / s)
-    p = _tail_p(t, alternative, stats.t, n - 1)
+    p = _tail_p(t, alternative, lambda x: stdtr(n - 1, x))
     return TestResult(
         statistic=t,
         p_value=p,

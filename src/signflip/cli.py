@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .baselines import parametric_score_test, quasi_score_test, sandwich_wald_test
 from .datasets import warpbreaks
 from .design import build_design, read_csv
@@ -72,18 +74,30 @@ def _run_method(method, y, design, family, args):
     raise DesignError(f"unknown method {method!r}")
 
 
+def _floats(text, flag):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise DesignError(f"{flag} must be comma-separated numbers") from None
+
+
+def _response(table, name):
+    y = table.get(name)
+    if y is None or y.dtype.kind != "f":
+        raise DesignError(f"response column {name!r} is missing or not numeric")
+    return y
+
+
 def cmd_test(args):
     if not 0.0 < args.alpha < 1.0:
         raise DesignError("--alpha must be in (0, 1)")
     table = read_csv(args.data)
-    if args.response not in table:
-        raise DesignError(f"--response: unknown column {args.response!r}")
-    y = table[args.response]
+    y = _response(table, args.response)
     tested = [s for s in args.tested.split(",") if s]
     nuisance = [s for s in args.nuisance.split(",") if s] if args.nuisance else []
     null_value = None
     if args.null_value:
-        null_value = [float(v) for v in args.null_value.split(",")]
+        null_value = _floats(args.null_value, "--null-value")
     design = build_design(
         {k: v for k, v in table.items() if k != args.response},
         tested=tested,
@@ -123,10 +137,10 @@ def cmd_simulate(args):
         if value is not None:
             overrides[name] = value
     if args.beta is not None:
-        beta = [float(v) for v in args.beta.split(",")]
+        beta = _floats(args.beta, "--beta")
         overrides["beta"] = beta[0] if len(beta) == 1 else beta
     if args.gamma0 is not None:
-        g = [float(v) for v in args.gamma0.split(",")]
+        g = _floats(args.gamma0, "--gamma0")
         overrides["gamma0"] = g[0] if len(g) == 1 else g
     if args.sigma_rule is not None:
         overrides["sigma_rule"] = args.sigma_rule
@@ -154,7 +168,7 @@ def cmd_simulate(args):
 
 def cmd_warpbreaks(args):
     table = read_csv(args.data) if args.data else warpbreaks()
-    y = table["breaks"]
+    y = _response(table, "breaks")
     design = build_design(
         {"wool": table["wool"], "tension": table["tension"]},
         tested=["wool"],
@@ -254,11 +268,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow or an invalid operation ends the run instead of a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except DesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

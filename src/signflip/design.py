@@ -193,7 +193,7 @@ def build_design(table, tested, nuisance=(), intercept=True, null_value=None,
         names.append(c)
     for c in tested_labels:
         col = single[c]
-        if np.ptp(col) == 0:
+        if np.all(col == col[0]):
             raise DesignError(f"tested column {c!r} is constant")
         cols.append(col)
         names.append(c)

@@ -96,21 +96,26 @@ def _random_flips(rng, n, w):
     return out
 
 
+def _keys(signs):
+    """uint64 key per column from its first 8 bytes (exact for nb <= 8)."""
+    keys = np.zeros(signs.shape[1], dtype=np.uint64)
+    for b in range(min(signs.shape[0], 8)):
+        keys |= signs[b].astype(np.uint64) << np.uint64(8 * b)
+    return keys
+
+
 def _first_occurrences(signs):
     """Indices of the first occurrence of each distinct column, in order.
 
-    Columns are keyed by a uint64 built from their first 8 bytes, which
-    is exact for plans of at most 8 bytes; longer columns that share a
-    key are then compared in full.
+    Columns are keyed by ``_keys``, which is exact for plans of at most
+    8 bytes; longer columns that share a key are then compared in full.
     """
-    nb, w = signs.shape
-    keys = np.zeros(w, dtype=np.uint64)
-    for b in range(min(nb, 8)):
-        keys |= signs[b].astype(np.uint64) << np.uint64(8 * b)
-    order = np.argsort(keys, kind="stable")
+    nb = signs.shape[0]
+    keys = _keys(signs)
+    order = np.argsort(keys)
     ranked = keys[order]
     new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    first = order[new]
+    first = np.minimum.reduceat(order, np.flatnonzero(new))  # earliest of each key
     if nb > 8:
         # columns that share a key may differ past byte 8: compare them in full
         shared = ~new | np.append(~new[1:], False)
@@ -127,20 +132,41 @@ def _first_occurrences(signs):
 def _sample_distinct(rng, n, w):
     """w distinct packed flips, flip 0 the identity, the rest drawn uniformly.
 
-    Each batch of draws is deduplicated against the flips kept so far,
-    the zero flip 0 included, so the identity is never drawn again.  A
-    batch holds 1.25 times the draws expected to fill the gap, given the
-    share of flips not yet seen, so the loop ends even when w is 2^n.
+    Each batch of draws is deduplicated, then checked against the sorted
+    keys of the flips kept so far, the zero flip 0 included, so only the
+    batch is sorted and the identity is never drawn again.  A batch
+    holds 1.25 times the draws expected to fill the gap, given the share
+    of flips not yet seen, so the loop ends even when w is 2^n.
     """
     signs = _random_flips(rng, n, w)
     signs[:, 0] = 0
     kept = _first_occurrences(signs)
-    while kept.size < w:
-        missing, unseen = w - kept.size, (1 << n) - kept.size
+    if kept.size == w:
+        return signs
+    signs = signs[:, kept]
+    seen = np.sort(_keys(signs))
+    while signs.shape[1] < w:
+        missing, unseen = w - signs.shape[1], (1 << n) - signs.shape[1]
         batch = 5 * missing * (1 << n) // (4 * unseen) + 16
-        signs = np.concatenate((signs[:, kept], _random_flips(rng, n, batch)), axis=1)
-        kept = _first_occurrences(signs)[:w]
-    return signs if kept.size == signs.shape[1] else signs[:, kept]
+        new = _random_flips(rng, n, batch)
+        new = new[:, _first_occurrences(new)]
+        keys = _keys(new)
+        by_key = np.argsort(keys)  # sorted lookups into seen stay in cache
+        ranked = keys[by_key]
+        repeat = np.empty(keys.size, dtype=bool)
+        # seen holds the identity's key 0, so each key has a predecessor there
+        repeat[by_key] = seen[np.searchsorted(seen, ranked, "right") - 1] == ranked
+        if signs.shape[0] > 8 and repeat.any():
+            # a shared key repeats a kept flip only if the columns agree in full
+            twins = signs[:, np.isin(_keys(signs), keys[repeat])]
+            pooled = _first_occurrences(np.concatenate((twins, new[:, repeat]), axis=1))
+            unmatched = pooled[pooled >= twins.shape[1]] - twins.shape[1]
+            repeat[np.flatnonzero(repeat)[unmatched]] = False
+        fresh = np.flatnonzero(~repeat)[:missing]
+        signs = np.concatenate((signs, new[:, fresh]), axis=1)
+        added = np.sort(keys[fresh])
+        seen = np.insert(seen, np.searchsorted(seen, added), added)
+    return signs
 
 
 def make_flip_plan(n, w, mode="with-replacement", seed=0):

@@ -5,14 +5,15 @@ hypothesized tested effect absorbed into the offset; the full fit runs
 the same IRLS over all columns.  Convergence uses the relative deviance
 criterion |dev - dev_old| < tol * (|dev| + 0.1) with step-halving on
 deviance increases or invalid means.  All symmetric solves go through a
-Cholesky factorization, and a matrix that is not positive definite
-raises NumericalError; explicit matrix inverses are never formed.
+Cholesky factorization by LAPACK's dpotrf/dpotrs, called directly, and
+a matrix that is not positive definite or not finite raises
+NumericalError; explicit matrix inverses are never formed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import DesignError, NumericalError
 
@@ -25,6 +26,7 @@ __all__ = [
     "score_contributions",
     "information_blocks",
     "log_likelihood",
+    "cholesky_lower",
     "solve_spd",
 ]
 
@@ -34,21 +36,30 @@ MAX_HALVINGS = 20
 COND_LIMIT = 1e12
 
 
+def cholesky_lower(A):
+    """Lower Cholesky factor of A; NumericalError unless finite and positive definite."""
+    if not np.isfinite(A).all():
+        raise NumericalError("matrix is not positive definite: it holds a NaN or an infinity")
+    L, info = dpotrf(A, lower=1)
+    if info:
+        raise NumericalError(f"matrix is not positive definite: leading minor {info} is not")
+    return L
+
+
 def solve_spd(A, B):
     """Solve A X = B for symmetric positive-definite A by Cholesky.
 
-    An empty A gives zeros of B's shape.  Raises NumericalError when the
-    factorization fails, i.e. A is not positive definite.
+    LAPACK's dpotrf/dpotrs, as in scipy's cho_factor/cho_solve, without
+    their wrappers.  An empty A gives zeros of B's shape.  Raises
+    NumericalError when A is not positive definite or A or B not finite.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.size == 0:
         return np.zeros(B.shape)
-    try:
-        c = scipy.linalg.cho_factor(A, lower=True)
-        return scipy.linalg.cho_solve(c, B)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"matrix is not positive definite: {exc}") from exc
+    if not np.isfinite(B).all():
+        raise NumericalError("right-hand side holds a NaN or an infinity")
+    return dpotrs(cholesky_lower(A), B, lower=1)[0]
 
 
 def _check_conditioned(M, what):

@@ -26,7 +26,6 @@ from the order-statistic rule by at most 1/w.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .baselines import one_sample_t, rao_test, sandwich_wald_test
 from .baselines import parametric_score_test  # noqa: F401 -- traced by bench/tracer.py
@@ -40,7 +39,7 @@ from .engine import (
 from .exceptions import DesignError, NumericalError
 from .families import Poisson
 from .flips import keyed_rng, make_flip_plan
-from .glm import fit_null, score_contributions
+from .glm import cholesky_lower, fit_null, score_contributions
 
 __all__ = [
     "SCENARIOS",
@@ -161,8 +160,8 @@ def _mvn_rows(rng, n, corr):
     ):
         raise DesignError("correlation matrix must be symmetric with unit diagonal")
     try:
-        L = scipy.linalg.cholesky(corr, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        L = cholesky_lower(corr)
+    except NumericalError as exc:
         raise DesignError("correlation matrix is not positive definite") from exc
     return rng.standard_normal((n, corr.shape[0])) @ L.T
 

@@ -1,10 +1,18 @@
 """Classical baseline tests against closed forms, oracles and simulation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
+from scipy.special import ndtr, stdtr
 
+import signflip
 from signflip import (
     DesignError,
     Gaussian,
@@ -21,8 +29,85 @@ from signflip import (
     score_contributions,
     fit_null,
 )
+from signflip.baselines import _tail_p
 from signflip.glm import solve_spd
 from oracles import t_two_sided_p_quadrature
+
+
+# ------------------------------------------------------------------ #
+# tail probabilities: scipy.special, equal to scipy.stats bit for bit
+# ------------------------------------------------------------------ #
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(signflip.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, signflip; print(sorted(m for m in sys.modules"
+         " if m == 'scipy.stats' or m.startswith('scipy.stats.')))"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def _scipy_stats_p(statistic, alternative, dist):
+    if alternative == "greater":
+        return dist.sf(statistic)
+    if alternative == "less":
+        return dist.cdf(statistic)
+    return 2.0 * dist.sf(abs(statistic))
+
+
+_ALTERNATIVES = ("greater", "less", "two-sided", "two-sided-abs")
+_EDGES = [0.0, -0.0, 1e-300, 0.3, 1.96, 8.5, 38.5, 1e300, np.inf, np.nan]
+
+
+@pytest.mark.parametrize("alternative", _ALTERNATIVES)
+@pytest.mark.parametrize("x", _EDGES + [-x for x in _EDGES[2:-1]])
+def test_tail_p_equals_scipy_stats_at_edge_statistics(x, alternative):
+    assert_array_equal(_tail_p(x, alternative, ndtr),
+                       _scipy_stats_p(x, alternative, stats.norm))
+    for df in (1, 3, 52):
+        assert_array_equal(_tail_p(x, alternative, lambda v: stdtr(df, v)),
+                           _scipy_stats_p(x, alternative, stats.t(df)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 60), d=st.integers(1, 2),
+       alternative=st.sampled_from(_ALTERNATIVES))
+def test_p_values_equal_scipy_stats_references(seed, n, d, alternative):
+    rng = np.random.default_rng(seed)
+    X, z = rng.normal(size=(n, d)), rng.normal(size=n)
+    y = rng.poisson(np.exp(0.2 + 0.3 * z + 0.2 * X[:, 0])).astype(float)
+    names = [f"x{j}" for j in range(d)]
+    table = dict(zip(names, X.T), z=z)
+    design = build_design(table, tested=names, nuisance=["z"], intercept=True)
+    fam = Poisson()
+    if d == 1:
+        ref = lambda s: _scipy_stats_p(s, alternative, stats.norm)
+    elif alternative in ("two-sided", "two-sided-abs"):
+        ref = lambda s: stats.chi2.sf(s, d)
+    else:
+        ref = None  # the d-dimensional tests are two-sided only
+    runs = [
+        (lambda: rao_test(score_contributions(y, fit_null(y, design, fam), design, fam),
+                          alternative), ref),
+        (lambda: sandwich_wald_test(y, design, fam, alternative), ref),
+        (lambda: one_sample_t(y, 1.0, alternative),
+         lambda s: _scipy_stats_p(s, alternative, stats.t(n - 1))),
+    ]
+    if d == 1:
+        runs.append((lambda: quasi_score_test(y, design, fam, alternative),
+                     lambda s: _scipy_stats_p(s, alternative, stats.t(n - design.k))))
+    for run, reference in runs:
+        if reference is None:
+            with pytest.raises(DesignError, match="two-sided only"):
+                run()
+            continue
+        res = run()
+        want = reference(res.statistic)
+        assert res.p_value == float(want), (res.method, res.statistic)
 
 
 # ------------------------------------------------------------------ #

@@ -1,13 +1,18 @@
 """CLI behavior: flags, report format, JSON round trip, exit codes."""
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import signflip
 from signflip import warpbreaks
@@ -334,3 +339,84 @@ def test_cmd_warpbreaks_report(capsys):
     for name, entry in doc.items():
         row = next(ln for ln in lines if ln.startswith(name))
         assert row.split()[-1] == str(entry["p_value"])
+
+
+@pytest.mark.parametrize("text", ["count,wool,tension\n1,A,L\n2,B,M\n",
+                                  "breaks,wool,tension\nA,A,L\nB,B,M\n"],
+                         ids=["missing", "text"])
+def test_cmd_warpbreaks_data_needs_a_numeric_breaks_column(tmp_path, capsys, text):
+    path = tmp_path / "loom.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["warpbreaks", "--data", str(path)]) == 2
+    assert "response column 'breaks' is missing or not numeric" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------ #
+# any argument list over any small CSV ends in exit 0, 2 or 3
+# ------------------------------------------------------------------ #
+
+_CELLS = st.one_of(
+    st.integers(0, 6).map(str),
+    st.floats(-3, 3, allow_nan=False).map(repr),
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "1e308", "-1", "0.5", "a", "b"]),
+)
+_COLUMNS = ("y", "x", "z", "g")
+
+
+@st.composite
+def _csv_text(draw):
+    rows = draw(st.integers(2, 12), label="rows")
+    cols = []
+    for _ in _COLUMNS:
+        if draw(st.booleans(), label="constant"):
+            cols.append([draw(_CELLS, label="cell")] * rows)
+        else:
+            cols.append(draw(st.lists(_CELLS, min_size=rows, max_size=rows), label="cells"))
+    return "\n".join(",".join(r) for r in [_COLUMNS, *zip(*cols)]) + "\n"
+
+
+def _options():
+    names = st.sampled_from(["x", "z", "g", "x,z", "x,g", "y", "q", ""])
+    flags = {
+        "--family": st.sampled_from(["gaussian", "poisson", "binomial", "gamma"]),
+        "--method": st.sampled_from(["basic", "effective", "parametric", "sandwich",
+                                     "quasi", "all", "exact"]),
+        "--alternative": st.sampled_from(["greater", "less", "two-sided",
+                                          "two-sided-abs", "two-sided-tails", "both"]),
+        "--alpha": st.sampled_from(["0", "1", "nan", "-1", "0.05", "0.5", "inf"]),
+        "--w": st.integers(0, 4096).map(str),
+        "--mode": st.sampled_from(["with-replacement", "without-replacement",
+                                   "exhaustive", "bootstrap"]),
+        "--seed": st.integers(-2, 2**70).map(str),
+        "--null-value": st.sampled_from(["0", "1", "0,0", "nan", "inf", "1e308", "a", ""]),
+        "--vhat": st.sampled_from(["identity", "inv-effective-info", "sandwich"]),
+        "--nuisance": names,
+    }
+    pairs = st.fixed_dictionaries({}, optional=flags)
+    return st.tuples(names, pairs, st.booleans(), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_text(), options=_options())
+# each example below once ended in a warning or a bare exception
+@example(text="y,x,z,g\n0,inf,0,0\n0,inf,0,0\n", options=("x", {}, False, False))
+@example(text="y,x,z,g\na,0,0,0\na,0,0,1\n", options=("g", {}, False, False))
+@example(text="y,x,z,g\n0,0,0,0\n0,1,0,0\n",
+         options=("x", {"--null-value": "a"}, False, False))
+@example(text="y,x,z,g\n3,0,0,0\n3,1e308,0,0\n", options=("x", {}, False, False))
+def test_cmd_test_any_arguments_end_in_a_documented_exit_code(tmp_path_factory, text,
+                                                              options):
+    tested, flags, intercept, as_json = options
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_text(text, encoding="utf-8")
+    argv = ["test", "--data", str(path), "--response", "y", "--tested", tested]
+    argv += [a for flag, value in flags.items() for a in (flag, value)]
+    argv += ["--intercept"] * intercept + ["--json"] * as_json
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refusing a flag value
+            rc = exc.code
+    assert rc in (0, 2, 3), (argv, text, err.getvalue())

@@ -1,10 +1,12 @@
 """Flip plans, flip statistics, decision rules and the flip test."""
 
+import hashlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -122,6 +124,48 @@ def test_first_occurrences_matches_dict_oracle(data):
     for j in range(signs.shape[1]):
         first.setdefault(signs[:, j].tobytes(), j)
     assert _first_occurrences(signs).tolist() == sorted(first.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_distinct_sampler_matches_dict_oracle(data):
+    # draws come from a small pool of columns, so a batch repeats itself and
+    # the flips kept so far; a shared 8-byte prefix makes long keys collide
+    from signflip import flips
+
+    nb = data.draw(st.integers(1, 13), label="nb")
+    column = st.lists(st.sampled_from([0, 1, 128, 255]), min_size=nb, max_size=nb)
+    pool = data.draw(st.lists(column, min_size=1, max_size=12), label="pool")
+    pool = np.array(pool, dtype=np.uint8).T.copy()
+    if nb > 8 and data.draw(st.booleans(), label="shared prefix"):
+        pool[:8] = pool[:8, :1]
+    distinct = {bytes(nb)} | {col.tobytes() for col in pool.T}
+    assume(len(distinct) >= 2)
+    w = data.draw(st.integers(2, len(distinct)), label="w")
+    picker = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    drawn = []
+
+    def draw_from_pool(rng, n, count):
+        assert len(drawn) < 100, "the sampler keeps drawing"
+        drawn.append(pool[:, picker.integers(0, pool.shape[1], count)])
+        return drawn[-1]  # the sampler zeroes flip 0 of the first batch in place
+
+    with mock.patch.object(flips, "_random_flips", draw_from_pool):
+        signs = flips._sample_distinct(None, 8 * nb, w)
+    first = {}
+    for col in np.concatenate(drawn, axis=1).T:
+        first.setdefault(col.tobytes(), col)
+    assert_array_equal(signs, np.array(list(first.values())[:w]).T)
+
+
+def test_distinct_sampler_stream_is_pinned():
+    # SHA-256 of these plans; a different digest means the plan stream changed
+    digest = hashlib.sha256()
+    for n, w in ((21, 2), (21, 5000), (21, 2**17), (21, 2**21 - 2**19), (24, 1000),
+                 (70, 500), (200, 64)):
+        digest.update(make_flip_plan(n, w, "without-replacement", seed=n + w).signs.tobytes())
+    assert digest.hexdigest() == (
+        "c06b08deb9022a869a5d6bc9e2c5a07fd4f4320c2bc0ba5eb80e7aba23196dea")
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 30, 54])

@@ -4,7 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.linalg
+from numpy.testing import assert_allclose, assert_array_equal
 
 from signflip import (
     Binomial,
@@ -184,14 +185,40 @@ def test_information_singular_nuisance_block_errors():
 
 @pytest.mark.parametrize(
     "A",
-    [np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 2.0], [2.0, 1.0]])],
-    ids=["singular", "indefinite"],
+    [
+        np.array([[1.0, 1.0], [1.0, 1.0]]),
+        np.array([[1.0, 2.0], [2.0, 1.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[2.0, np.nan], [np.nan, 2.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [-np.inf, 1.0]]),
+    ],
+    ids=["singular", "indefinite", "nan-diagonal", "nan-off-diagonal", "inf-diagonal",
+         "inf-lower-triangle"],
 )
 def test_solve_spd_refuses_matrices_that_are_not_positive_definite(A):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="not positive definite"):
             solve_spd(A, np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_spd_refuses_a_right_hand_side_that_is_not_finite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="NaN or an infinity"):
+            solve_spd(np.eye(2), np.array([1.0, bad]))
+
+
+def test_solve_spd_matches_scipy_cho_solve_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3, 7):
+        M = rng.normal(size=(k + 5, k))
+        A = M.T @ M
+        for B in (rng.normal(size=k), rng.normal(size=(k, 4))):
+            assert_array_equal(solve_spd(A, B),
+                               scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), B))
 
 
 def test_solve_spd_empty_system_gives_zeros_of_rhs_shape():

@@ -14,6 +14,7 @@ from signflip import (
     scenario_config,
     write_curve_csv,
 )
+from signflip.flips import keyed_rng
 
 
 # ------------------------------------------------------------------ #
@@ -52,6 +53,16 @@ def test_mvn_determinism_and_validation():
         gen_mvn_covariates(10, 2, np.array([[1.0, 1.2], [1.2, 1.0]]), seed=0)
     with pytest.raises(DesignError):
         gen_mvn_covariates(10, 2, np.array([[1.0, 0.1], [0.3, 1.0]]), seed=0)
+    with pytest.raises(DesignError, match="positive definite"):
+        gen_mvn_covariates(10, 2, np.array([[1.0, np.inf], [np.inf, 1.0]]), seed=0)
+
+
+def test_mvn_draws_use_the_lower_cholesky_factor():
+    R = np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.5], [0.2, 0.5, 1.0]])
+    draws = gen_mvn_covariates(6, 3, R, seed=4)
+    rng = keyed_rng(4)
+    assert_allclose(draws, rng.standard_normal((6, 3)) @ np.linalg.cholesky(R).T,
+                    rtol=1e-13)
 
 
 def _var_band(draws):
