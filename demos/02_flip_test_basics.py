@@ -18,17 +18,17 @@ y = rng.standard_normal(10) + 0.8
 for mode, w in (("with-replacement", 5000), ("without-replacement", 512),
                 ("exhaustive", 2**10)):
     plan = make_flip_plan(10, w, mode=mode, seed=42)
-    sv = flip_statistics_scalar(y, plan)
-    res = decide(sv, 0.05, "greater")
-    print(f"{mode:20s} w={plan.w:5d}  T1={sv.values[0]:6.3f}  "
+    stats = flip_statistics_scalar(y, plan)
+    res = decide(stats, 0.05, "greater")
+    print(f"{mode:20s} w={plan.w:5d}  T1={stats[0]:6.3f}  "
           f"p={res.p_value:.4f}  reject@0.05={res.reject}")
 
 # the identity flip is always row one, so T1 is the observed statistic
 plan = make_flip_plan(10, 64, seed=7)
-sv = flip_statistics_scalar(y, plan)
-assert sv.values[0] == flip_statistics_scalar(y, plan).values[0]
-print(f"\nobserved statistic (identity flip): {sv.values[0]:.4f}")
-print(f"flip distribution quantiles: {np.percentile(sv.values, [5, 50, 95]).round(3)}")
+stats = flip_statistics_scalar(y, plan)
+assert stats[0] == flip_statistics_scalar(y, plan)[0]
+print(f"\nobserved statistic (identity flip): {stats[0]:.4f}")
+print(f"flip distribution quantiles: {np.percentile(stats, [5, 50, 95]).round(3)}")
 
 # exactness under symmetry: exhaustive plan, null data
 n, alpha, reps = 8, 0.05, 4000
@@ -37,8 +37,8 @@ target = np.floor(alpha * w) / w
 rejects = 0
 for r in range(reps):
     null_y = rng.standard_normal(n)
-    sv = flip_statistics_scalar(null_y, make_flip_plan(n, w, mode="exhaustive"))
-    rejects += decide(sv, alpha, "greater").reject
+    stats = flip_statistics_scalar(null_y, make_flip_plan(n, w, mode="exhaustive"))
+    rejects += decide(stats, alpha, "greater").reject
 print(f"\nexhaustive-plan null rejection rate: {rejects / reps:.4f} "
       f"(exact level {target:.4f}, {reps} simulated datasets)")
 

@@ -39,7 +39,7 @@ for rep in range(reps):
     fam = Poisson()
     nf = fit_null(y, design, fam)
     scores = score_contributions(y, nf, design, fam)
-    nu_star = effective_contributions(scores).nu_star
+    nu_star = effective_contributions(scores)
 
     plan = make_flip_plan(n, w, seed=int(keyed_rng(5, rep).integers(2**63)))
     rej_basic += p_value(flip_statistics_scalar(scores.nu[:, 0], plan),
@@ -64,5 +64,5 @@ scores = score_contributions(y, nf, design, Gaussian())
 eff = effective_contributions(scores)
 closed_form = (x - x.mean()) * (y - nf.mu_hat)
 print(f"\ngaussian centering identity, max deviation: "
-      f"{np.max(np.abs(eff.nu_star[:, 0] - closed_form)):.2e}")
+      f"{np.max(np.abs(eff[:, 0] - closed_form)):.2e}")
 print(f"projector (here just the covariate mean): {scores.info.proj.ravel()}")

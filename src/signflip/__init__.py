@@ -19,8 +19,6 @@ from .baselines import (
 from .datasets import warpbreaks
 from .design import DesignMatrix, build_design, read_csv
 from .engine import (
-    EffectiveScores,
-    StatVector,
     TestResult,
     decide,
     effective_contributions,
@@ -67,7 +65,6 @@ __all__ = [
     "Binomial",
     "DesignError",
     "DesignMatrix",
-    "EffectiveScores",
     "Family",
     "FlipPlan",
     "Fit",
@@ -81,7 +78,6 @@ __all__ = [
     "ScoreSet",
     "SignFlipError",
     "SimConfig",
-    "StatVector",
     "TestResult",
     "build_design",
     "decide",

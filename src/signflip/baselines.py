@@ -87,7 +87,7 @@ def sandwich_estimate(y, full_fit, design, family):
     """
     X = design.X
     xtwx = X.T @ (full_fit.W_hat[:, None] * X)
-    resid = (np.asarray(y, dtype=float) - full_fit.mu_hat) / family.dispersion(design.n)
+    resid = np.asarray(y, dtype=float) - full_fit.mu_hat
     U = X * resid[:, None]
     tmp = solve_spd(xtwx, U.T @ U)       # bread^-1 meat
     vcov = solve_spd(xtwx, tmp.T).T      # bread^-1 meat bread^-1

@@ -170,7 +170,7 @@ def cmd_warpbreaks(args):
     table = read_csv(args.data) if args.data else warpbreaks()
     y = _response(table, "breaks")
     design = build_design(
-        {"wool": table["wool"], "tension": table["tension"]},
+        {k: v for k, v in table.items() if k != "breaks"},
         tested=["wool"],
         nuisance=["tension"],
         intercept=True,

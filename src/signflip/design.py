@@ -183,6 +183,8 @@ def build_design(table, tested, nuisance=(), intercept=True, null_value=None,
     if len(lengths) != 1:
         raise DesignError("columns have inconsistent lengths")
     n = lengths.pop()
+    if n == 0:
+        raise DesignError("columns have no rows")
 
     cols, names = [], []
     if intercept:
@@ -223,9 +225,12 @@ def read_csv(path):
     string column.  An empty cell is an error, so a missing number never
     turns its column categorical.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, r) for r in reader]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, r) for r in reader]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DesignError(f"{path}: cannot read: {exc}") from None
     if not rows:
         raise DesignError(f"{path}: empty file")
     header = [h.strip() for h in rows[0][1]]

@@ -1,15 +1,19 @@
 """Flip statistics, decision rules and the sign-flip test itself.
 
 The scalar statistic for flip j is T_j = n^{-1/2} sum_i g_{ji} nu_i;
-the quadratic form for a d-dimensional tested parameter is s_j' V s_j
-with s_j the d-vector of signed sums and V a caller-chosen positive
-semi-definite matrix.  The observed statistic is always T_1 (identity
-flip).  Decisions follow the order-statistic rules: a greater test
-rejects iff T_1 exceeds the ceil((1-alpha)w)-th order statistic, with
-ties broken by value only, which makes discrete-data tests
-conservative.  p-values count the identity flip, so they live in
-[1/w, 1] and p <= floor(alpha*w)/w agrees with the order-statistic rule
-whenever there are no ties.
+the quadratic form for a d-dimensional tested parameter is
+T_j = ||s_j||^2 with s_j the d-vector of signed sums divided by
+sqrt(n).  A weight matrix V = L L' enters through its factor: the
+contributions are multiplied by L before they are flipped, so
+s_j' V s_j is a plain sum of squares and a complementary flip still
+gives exactly the same statistic.  The statistics are plain (w,) float
+arrays, and the observed statistic T_1 (identity flip) comes first.
+Decisions follow the order-statistic rules: a greater test rejects iff
+T_1 exceeds the ceil((1-alpha)w)-th order statistic, with ties broken
+by value only, which makes discrete-data tests conservative.  p-values
+count the identity flip, so they live in [1/w, 1] and
+p <= floor(alpha*w)/w agrees with the order-statistic rule whenever
+there are no ties.
 
 Signed sums read the bit-packed, byte-major plan through 256-entry
 lookup tables, one per plan byte and tested column, walking each byte
@@ -25,13 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import DesignError, NumericalError
+from .exceptions import DesignError
 from .flips import make_flip_plan
-from .glm import fit_null, score_contributions, solve_spd
+from .glm import fit_null, score_contributions, whiten
 
 __all__ = [
-    "EffectiveScores",
-    "StatVector",
     "TestResult",
     "effective_contributions",
     "flip_statistics_scalar",
@@ -43,25 +45,6 @@ __all__ = [
 
 ALTERNATIVES = ("greater", "less", "two-sided-abs", "two-sided-tails")
 _CHUNK = 1 << 14  # flips summed per block
-
-
-@dataclass(frozen=True)
-class EffectiveScores:
-    """Effective score contributions.
-
-    ``nu_star = nu - nu_nuis @ info.proj`` exactly; the column sums of
-    ``nu_star`` equal those of ``nu`` when the nuisance estimate is the
-    null MLE (the projected term then sums to zero).
-    """
-
-    nu_star: np.ndarray   # (n, d)
-
-
-@dataclass(frozen=True)
-class StatVector:
-    """Flip statistics T_1..T_w; entry 0 is the observed statistic."""
-
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,10 +60,13 @@ class TestResult:
 
 
 def effective_contributions(score_set):
-    """Project the nuisance contributions out of the tested scores."""
-    return EffectiveScores(
-        nu_star=score_set.nu - score_set.nu_nuis @ score_set.info.proj
-    )
+    """Effective score contributions, the (n, d) array nu - nu_nuis proj.
+
+    The nuisance contributions are projected out of the tested ones; the
+    column sums equal those of ``nu`` when the nuisance estimate is the
+    null MLE (the projected term then sums to zero).
+    """
+    return score_set.nu - score_set.nu_nuis @ score_set.info.proj
 
 
 def _byte_tables(contribs):
@@ -138,21 +124,23 @@ def flip_statistics_scalar(contribs, plan):
     """T_j = n^{-1/2} sum_i g_ji * contribs[i] for every flip j.
 
     g_j is the +-1 sign vector of flip j, row j of ``plan.dense()``.
+    Returns the (w,) array; entry 0 is the observed statistic.
     """
     contribs = np.asarray(contribs, dtype=float).reshape(-1)
     if contribs.shape[0] != plan.n:
         raise DesignError(
             f"contributions have length {contribs.shape[0]}, plan has n={plan.n}"
         )
-    values = _signed_sums(plan.signs, contribs[:, None])[:, 0] / math.sqrt(plan.n)
-    return StatVector(values=values)
+    return _signed_sums(plan.signs, contribs[:, None])[:, 0] / math.sqrt(plan.n)
 
 
-def flip_statistics_quadratic(contribs, vhat, plan):
-    """Quadratic-form statistics s_j' vhat s_j for a d-column block.
+def flip_statistics_quadratic(contribs, plan):
+    """T_j = ||s_j||^2 for a d-column block, s_j = n^{-1/2} sum_i g_ji contribs[i].
 
-    ``vhat`` must be symmetric positive semi-definite (checked by a
-    spectral factorization); the statistics are then non-negative.
+    This is the quadratic form s_j' I s_j.  For a weight matrix V, apply
+    a factor L of V = L L' as ``contribs @ L`` first; ``glm.whiten``
+    gives such contributions for V = A^-1.  Returns the (w,) array;
+    entry 0 is the observed statistic.
     """
     contribs = np.asarray(contribs, dtype=float)
     if contribs.ndim == 1:
@@ -161,20 +149,8 @@ def flip_statistics_quadratic(contribs, vhat, plan):
         raise DesignError(
             f"contributions have {contribs.shape[0]} rows, plan has n={plan.n}"
         )
-    d = contribs.shape[1]
-    vhat = np.asarray(vhat, dtype=float)
-    if vhat.shape != (d, d):
-        raise DesignError(f"vhat has shape {vhat.shape}, expected ({d}, {d})")
-    scale = np.abs(vhat).max() if vhat.size else 1.0
-    if not np.allclose(vhat, vhat.T, atol=1e-10 * max(scale, 1.0)):
-        raise NumericalError("vhat is not symmetric")
-    evals = np.linalg.eigvalsh(vhat)
-    if evals[0] < -1e-10 * max(scale, 1.0):
-        raise NumericalError("vhat is not positive semi-definite")
     s = _signed_sums(plan.signs, contribs) / math.sqrt(plan.n)
-    values = np.einsum("wd,de,we->w", s, vhat, s)
-    np.maximum(values, 0.0, out=values)  # guard off sub-eps negatives
-    return StatVector(values=values)
+    return np.einsum("wd,wd->w", s, s)
 
 
 def _floor_multiple(alpha, w):
@@ -195,20 +171,20 @@ def _count(vals, alternative):
     )
 
 
-def p_value(stat_vector, alternative):
+def p_value(values, alternative):
     """Resampling p-value including the identity flip (so p >= 1/w).
 
     greater counts T_j >= T_1; less counts T_j <= T_1; two-sided-abs
     counts |T_j| >= |T_1|.
     """
-    vals = stat_vector.values
-    return _count(vals, alternative) / vals.shape[0]
+    return _count(values, alternative) / values.shape[0]
 
 
-def decide(stat_vector, alpha, alternative, alpha1=None, alpha2=None,
+def decide(values, alpha, alternative, alpha1=None, alpha2=None,
            method="flip"):
     """Apply the order-statistic decision rule and package a TestResult.
 
+    ``values`` holds T_1..T_w, the observed statistic first.
     greater rejects iff T_1 > T_(ceil((1-alpha)w)); less rejects iff
     T_1 < T_(floor(alpha*w)+1); two-sided-tails takes the union of both
     one-sided rules at alpha1/alpha2 (each must be a multiple of 1/w;
@@ -222,16 +198,15 @@ def decide(stat_vector, alpha, alternative, alpha1=None, alpha2=None,
     """
     if not 0.0 < alpha < 1.0:
         raise DesignError("alpha must be in (0, 1)")
-    vals = stat_vector.values
-    w = vals.shape[0]
-    t1 = float(vals[0])
+    w = values.shape[0]
+    t1 = float(values[0])
 
     if alternative in ("greater", "less"):
-        count = _count(vals, alternative)
+        count = _count(values, alternative)
         reject = count <= _floor_multiple(alpha, w)
         p = count / w
     elif alternative == "two-sided-abs":
-        p = p_value(stat_vector, "two-sided-abs")
+        p = p_value(values, "two-sided-abs")
         reject = p <= alpha
     elif alternative == "two-sided-tails":
         if (alpha1 is None) != (alpha2 is None):
@@ -247,8 +222,8 @@ def decide(stat_vector, alpha, alternative, alpha1=None, alpha2=None,
             raise DesignError(
                 "two-sided-tails needs alpha1 and alpha2 to be multiples of 1/w"
             )
-        below = _count(vals, "less")
-        above = _count(vals, "greater")
+        below = _count(values, "less")
+        above = _count(values, "greater")
         reject = below <= round(m1) or above <= round(m2)
         # reported p combines both tail counts (not part of the decision rule)
         p = min(1.0, below / w + above / w)
@@ -276,15 +251,21 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     (projected to effective scores unless ``method="basic"``), flips
     them w times and applies the decision rule.  A single tested column
     uses the scalar statistic; d > 1 uses the quadratic form with
-    ``vhat`` either ``"identity"`` or ``"inv-effective-info"``.
+    ``vhat`` either ``"identity"`` or ``"inv-effective-info"``, the
+    latter by whitening the contributions with the effective
+    information I* so that T_j = s_j' I*^-1 s_j.
     """
     if method not in ("basic", "effective"):
         raise DesignError(f"method must be 'basic' or 'effective', got {method!r}")
+    if vhat not in ("identity", "inv-effective-info"):
+        raise DesignError(
+            f"vhat must be 'identity' or 'inv-effective-info', got {vhat!r}"
+        )
     null_fit = fit_null(y, design, family)
     scores = score_contributions(y, null_fit, design, family)
 
     if method == "effective":
-        contribs = effective_contributions(scores).nu_star
+        contribs = effective_contributions(scores)
     else:
         contribs = scores.nu
 
@@ -292,16 +273,9 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     if design.d == 1:
         stats = flip_statistics_scalar(contribs[:, 0], plan)
     else:
-        if vhat == "identity":
-            vmat = np.eye(design.d)
-        elif vhat == "inv-effective-info":
-            vmat = solve_spd(scores.effective_information(), np.eye(design.d))
-            vmat = 0.5 * (vmat + vmat.T)
-        else:
-            raise DesignError(
-                f"vhat must be 'identity' or 'inv-effective-info', got {vhat!r}"
-            )
-        stats = flip_statistics_quadratic(contribs, vmat, plan)
+        if vhat == "inv-effective-info":
+            contribs = whiten(scores.effective_information(), contribs)
+        stats = flip_statistics_quadratic(contribs, plan)
 
     result = decide(stats, alpha, alternative, method=f"flip-{method}")
     return replace(result, w=w, seed=int(seed))

@@ -2,9 +2,9 @@
 
 Each family bundles the cumulant ``b`` and its derivatives, the canonical
 link pair, the response variance function and the log-density normalizer.
-The per-observation log density is ``(y*eta - b(eta))/a + c(y)`` with the
-dispersion ``a`` equal to 1 for every fitting family (the gaussian scale
-is pinned to 1; the flip tests are invariant to that constant).
+The per-observation log density is ``y*eta - b(eta) + c(y)``: the
+dispersion is 1 for every family (the gaussian scale is pinned to 1; the
+flip tests are invariant to that constant).
 """
 
 import numpy as np
@@ -48,10 +48,6 @@ class Family:
         """Response variance at mean ``mu`` (observation scale)."""
         raise NotImplementedError
 
-    def dispersion(self, n):
-        """Per-observation dispersion a_i; 1 for every fitting family."""
-        return np.ones(n)
-
     def log_normalizer(self, y):
         """c(y) in the log density."""
         raise NotImplementedError
@@ -72,8 +68,7 @@ class Family:
 
     def log_density(self, y, eta):
         """Per-observation log density at the linear predictor ``eta``."""
-        a = self.dispersion(np.shape(y)[0] if np.ndim(y) else 1)
-        return (y * eta - self.b(eta)) / a + self.log_normalizer(y)
+        return y * eta - self.b(eta) + self.log_normalizer(y)
 
     def __repr__(self):
         return f"{type(self).__name__}()"

@@ -6,14 +6,16 @@ the same IRLS over all columns.  Convergence uses the relative deviance
 criterion |dev - dev_old| < tol * (|dev| + 0.1) with step-halving on
 deviance increases or invalid means.  All symmetric solves go through a
 Cholesky factorization by LAPACK's dpotrf/dpotrs, called directly, and
-a matrix that is not positive definite or not finite raises
+a quadratic form in an inverse, B A^-1 B', is a sum of squares of the
+rows that ``whiten`` returns through the triangular solve dtrtrs.  A
+matrix that is not positive definite or not finite raises
 NumericalError; explicit matrix inverses are never formed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .exceptions import DesignError, NumericalError
 
@@ -28,6 +30,7 @@ __all__ = [
     "log_likelihood",
     "cholesky_lower",
     "solve_spd",
+    "whiten",
 ]
 
 MAX_ITER = 100
@@ -60,6 +63,24 @@ def solve_spd(A, B):
     if not np.isfinite(B).all():
         raise NumericalError("right-hand side holds a NaN or an infinity")
     return dpotrs(cholesky_lower(A), B, lower=1)[0]
+
+
+def whiten(A, B):
+    """Rows of B times L^-T, where A = L L' by Cholesky.
+
+    Row i of the result has squared norm B[i] A^-1 B[i]', so a quadratic
+    form in A^-1 becomes a sum of squares.  L comes from
+    ``cholesky_lower`` and the triangular solve L X' = B' from LAPACK's
+    dtrtrs.  Raises NumericalError when A is not positive definite or A
+    or B not finite.
+    """
+    B = np.asarray(B, dtype=float)
+    if not np.isfinite(B).all():
+        raise NumericalError("right-hand side holds a NaN or an infinity")
+    X, info = dtrtrs(cholesky_lower(A), B.T, lower=1)
+    if info:
+        raise NumericalError(f"triangular solve failed: dtrtrs info {info}")
+    return X.T
 
 
 def _check_conditioned(M, what):
@@ -114,7 +135,7 @@ class InfoBlocks:
 class ScoreSet:
     """Per-observation score contributions at the null fit.
 
-    ``nu`` holds the tested columns x_i (y_i - mu_i) / a_i, row per
+    ``nu`` holds the tested columns x_i (y_i - mu_i), row per
     observation; ``nu_nuis`` the nuisance columns.  ``info`` carries the
     information blocks evaluated at the same fit.  This is everything the
     flip tests and the Rao test read from the null model, so one null fit
@@ -160,19 +181,17 @@ def _irls(X, y, family, offset):
         mu = np.asarray(family.inv_link(eta), dtype=float)
         if not family.valid_mean(mu):
             raise NumericalError("offset-only predictor leaves the valid mean range")
-        W = family.b_double_prime(eta) / family.dispersion(n)
+        W = np.asarray(family.b_double_prime(eta), dtype=float)
         return Fit(np.zeros(0), mu, eta, W, family.deviance(y, mu), 0, True)
 
     mu = np.asarray(family.initial_mean(y), dtype=float)
     eta = np.asarray(family.link(mu), dtype=float)
     dev = family.deviance(y, mu)
-    a = family.dispersion(n)
     coef = None
 
     for it in range(1, MAX_ITER + 1):
-        bpp = np.asarray(family.b_double_prime(eta), dtype=float)
-        W = bpp / a
-        z = (eta - offset) + (y - mu) / bpp
+        W = np.asarray(family.b_double_prime(eta), dtype=float)
+        z = (eta - offset) + (y - mu) / W
         Wz = W * z
         A = X.T @ (W[:, None] * X)
         rhs = X.T @ Wz
@@ -205,8 +224,8 @@ def _irls(X, y, family, offset):
         coef, eta, mu = coef_try, eta_try, mu_try
         dev_old, dev = dev, dev_try
         if abs(dev - dev_old) < DEV_TOL * (abs(dev) + 0.1):
-            bpp = np.asarray(family.b_double_prime(eta), dtype=float)
-            return Fit(coef, mu, eta, bpp / a, dev, it, True)
+            W = np.asarray(family.b_double_prime(eta), dtype=float)
+            return Fit(coef, mu, eta, W, dev, it, True)
 
     raise NumericalError(f"IRLS did not converge in {MAX_ITER} iterations")
 
@@ -252,11 +271,11 @@ def information_blocks(null_fit, design):
 def score_contributions(y, null_fit, design, family):
     """Per-observation scores for the tested and nuisance coordinates.
 
-    Row i is x_i (y_i - mu_i) / a_i restricted to the respective column
+    Row i is x_i (y_i - mu_i) restricted to the respective column
     block, evaluated at the null fit (canonical link).
     """
     y = np.asarray(y, dtype=float)
-    resid = (y - null_fit.mu_hat) / family.dispersion(design.n)
+    resid = y - null_fit.mu_hat
     nu = design.X_tested * resid[:, None]
     nu_nuis = design.X_nuisance * resid[:, None]
     info = information_blocks(null_fit, design)

@@ -23,7 +23,7 @@ evaluated from stored p-values against the alpha grid, which differs
 from the order-statistic rule by at most 1/w.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -72,6 +72,24 @@ def _default_alpha_grid():
     return np.asarray(grid)
 
 
+def _finite(name, value):
+    """``value`` as a 1-d array of finite floats; DesignError naming the field."""
+    try:
+        arr = np.asarray(value, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise DesignError(f"{name} must be numeric, got {value!r}") from None
+    if not np.isfinite(arr).all():
+        raise DesignError(f"{name} must be finite, got {value!r}")
+    return arr
+
+
+def _finite_scalar(name, value):
+    arr = _finite(name, value)
+    if arr.size != 1:
+        raise DesignError(f"{name} must be a single number, got {value!r}")
+    return float(arr[0])
+
+
 @dataclass
 class SimConfig:
     """Scenario configuration; unspecified fields take scenario defaults."""
@@ -96,9 +114,21 @@ class SimConfig:
                 f"unknown scenario {self.scenario!r}; valid names: "
                 + ", ".join(SCENARIOS)
             )
+        for name in ("n", "reps", "w", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DesignError(f"{name} must be an integer, got {value!r}")
         if self.reps < 1:
             raise DesignError("reps must be at least 1")
-        grid = np.asarray(self.alpha_grid, dtype=float)
+        if self.n < 1:
+            raise DesignError("n must be at least 1")
+        for name in ("gamma0_latent", "rho", "sigma"):
+            setattr(self, name, _finite_scalar(name, getattr(self, name)))
+        if self.theta is not None:
+            self.theta = _finite_scalar("theta", self.theta)
+            if not self.theta > 0:
+                raise DesignError(f"theta must be positive, got {self.theta!r}")
+        grid = _finite("alpha_grid", self.alpha_grid)
         if grid.size and (
             np.any(grid <= 0.0) or np.any(grid >= 1.0) or np.any(np.diff(grid) <= 0)
         ):
@@ -107,9 +137,10 @@ class SimConfig:
         if self.scenario == "hetero-t":
             if self.sigma_rule not in ("exp-index", "constant"):
                 raise DesignError("sigma_rule must be 'exp-index' or 'constant'")
+            self.beta = _finite_scalar("beta", self.beta)
         else:
-            self.beta = np.asarray(self.beta, dtype=float).reshape(-1)
-            self.gamma0 = np.asarray(self.gamma0, dtype=float).reshape(-1)
+            self.beta = _finite("beta", self.beta)
+            self.gamma0 = _finite("gamma0", self.gamma0)
             if self.beta.size != self.gamma0.size:
                 raise DesignError("beta and gamma0 must have the same dimension")
         return self
@@ -129,11 +160,18 @@ _SCENARIO_DEFAULTS = {
 }
 
 
-def scenario_config(scenario, **overrides):
+def scenario_config(scenario, /, **overrides):
     """SimConfig with the published defaults for ``scenario``."""
     if scenario not in _SCENARIO_DEFAULTS:
         raise DesignError(
             f"unknown scenario {scenario!r}; valid names: " + ", ".join(SCENARIOS)
+        )
+    known = {f.name for f in fields(SimConfig)} - {"scenario"}
+    unknown = sorted(set(overrides) - known)
+    if unknown:
+        raise DesignError(
+            f"unknown config field {unknown[0]!r}; valid fields: "
+            + ", ".join(sorted(known))
         )
     kwargs = dict(_SCENARIO_DEFAULTS[scenario])
     kwargs.update(overrides)
@@ -175,10 +213,18 @@ def gen_mvn_covariates(n, dim, corr, seed=0, mean=0.0):
     return _mvn_rows(keyed_rng(seed), n, corr) + mean
 
 
+def _poisson(rng, lam):
+    """Poisson counts; NumericalError for a mean too large to draw from."""
+    try:
+        return rng.poisson(lam).astype(float)
+    except ValueError as exc:
+        raise NumericalError(f"cannot draw Poisson counts: {exc}") from None
+
+
 def _negbin(rng, eta, theta):
     mu = np.exp(np.asarray(eta, dtype=float))
     lam = rng.gamma(shape=theta, scale=mu / theta)
-    return rng.poisson(lam).astype(float)
+    return _poisson(rng, lam)
 
 
 def gen_negbin_response(eta, theta, seed=0):
@@ -225,7 +271,7 @@ def _glm_rep(cfg, rep):
     z_lat = cov[:, 2 * d]
     eta = X @ cfg.beta + Z @ cfg.gamma0 + cfg.gamma0_latent * z_lat
     if cfg.theta is None:
-        y = rng.poisson(np.exp(eta)).astype(float)
+        y = _poisson(rng, np.exp(eta))
     else:
         y = _negbin(rng, eta, cfg.theta)
     flip_seed = int(rng.integers(0, 2**63))
@@ -237,14 +283,14 @@ def _glm_rep(cfg, rep):
     family = Poisson()
     null_fit = fit_null(y, design, family)
     scores = score_contributions(y, null_fit, design, family)
-    nu_star = effective_contributions(scores).nu_star
+    nu_star = effective_contributions(scores)
     plan = make_flip_plan(cfg.n, cfg.w, "with-replacement", seed=flip_seed)
 
     def flip_p(contribs):
         if d == 1:
             stats = flip_statistics_scalar(contribs[:, 0], plan)
         else:
-            stats = flip_statistics_quadratic(contribs, np.eye(d), plan)
+            stats = flip_statistics_quadratic(contribs, plan)
         return p_value(stats, "two-sided-abs")
 
     return {
@@ -329,25 +375,35 @@ def read_config_file(path):
     parse as vectors; everything else stays a string.  Lines starting
     with '#' are ignored.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DesignError(f"{path}: cannot read: {exc}") from None
     overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DesignError(f"bad config line {line!r}; expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if "," in value:
-                overrides[key] = np.asarray([float(v) for v in value.split(",")])
-                continue
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DesignError(f"bad config line {line!r}; expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if "," in value:
             try:
-                num = float(value)
+                overrides[key] = np.asarray([float(v) for v in value.split(",")])
             except ValueError:
-                overrides[key] = value
-                continue
-            overrides[key] = int(num) if num == int(num) and key in (
-                "n", "reps", "w", "seed") else num
+                raise DesignError(
+                    f"config field {key!r} must be comma-separated numbers, "
+                    f"got {value!r}"
+                ) from None
+            continue
+        try:
+            num = float(value)
+        except ValueError:
+            overrides[key] = value
+            continue
+        overrides[key] = int(num) if num.is_integer() and key in (
+            "n", "reps", "w", "seed") else num
     return overrides

@@ -412,6 +412,11 @@ def test_cmd_test_any_arguments_end_in_a_documented_exit_code(tmp_path_factory, 
     argv = ["test", "--data", str(path), "--response", "y", "--tested", tested]
     argv += [a for flag, value in flags.items() for a in (flag, value)]
     argv += ["--intercept"] * intercept + ["--json"] * as_json
+    _assert_documented_exit(argv, text)
+
+
+def _assert_documented_exit(argv, *context):
+    """Run the CLI in-process with warnings as errors; exit 0, 2 or 3."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("error")
@@ -419,4 +424,120 @@ def test_cmd_test_any_arguments_end_in_a_documented_exit_code(tmp_path_factory, 
             rc = main(argv)
         except SystemExit as exc:  # argparse refusing a flag value
             rc = exc.code
-    assert rc in (0, 2, 3), (argv, text, err.getvalue())
+    assert rc in (0, 2, 3), (argv, *context, err.getvalue())
+
+
+# flag -> values that make a valid scenario run; _BAD_TEXT replaces at most one
+_SIM_FLAGS = {
+    "--n": st.integers(2, 40).map(str),
+    "--w": st.integers(2, 64).map(str),
+    "--seed": st.integers(0, 2**70).map(str),
+    "--beta": st.sampled_from(["0", "0.2", "-0.5", "0,0", "0.5,0.2,0,0,0"]),
+    "--gamma0": st.sampled_from(["0", "1", "0,0", "0.5,0.2,0,0,0"]),
+    "--gamma0-latent": st.sampled_from(["0", "0.5", "1"]),
+    "--rho": st.sampled_from(["0", "0.3", "0.5"]),
+    "--theta": st.sampled_from(["0.5", "1", "10"]),
+    "--sigma": st.sampled_from(["0.5", "1", "3"]),
+    "--sigma-rule": st.sampled_from(["exp-index", "constant"]),
+}
+_BAD_TEXT = st.sampled_from(["-2", "-1", "0", "1", "2.5", "60", "nan", "inf", "-inf",
+                             "1e308", "a", "", "1,a", "uniform"])
+# no huge sizes: n or w past what memory holds is not an input error
+_BAD_SIZE = st.sampled_from(["-2", "0", "1", "2.5", "nan", "inf", "a", ""])
+_CONFIG_KEYS = ("n", "reps", "w", "seed", "beta", "gamma0", "gamma0_latent", "rho",
+                "theta", "sigma_rule", "sigma", "alpha_grid")
+
+
+@st.composite
+def _config_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 3), label="lines")):
+        key = draw(st.sampled_from([*_CONFIG_KEYS, "scenario", "foo"]), label="key")
+        flag = "--" + key.replace("_", "-")
+        if flag in _SIM_FLAGS and draw(st.booleans(), label="valid"):
+            value = draw(_SIM_FLAGS[flag], label="value")
+        else:
+            value = draw(_BAD_SIZE if key in ("n", "reps", "w") else _BAD_TEXT,
+                         label="value")
+        lines.append(f"{key}={value}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _warpbreaks_csv(draw):
+    header = draw(st.permutations(["breaks", "wool", "tension", "x"]), label="header")
+    if draw(st.booleans(), label="drop a column"):
+        header = [c for c in header if c != draw(st.sampled_from(header))]
+    clean = {"breaks": st.integers(0, 70).map(str), "wool": st.sampled_from("AB"),
+             "tension": st.sampled_from("LMH"), "x": st.integers(-3, 3).map(str)}
+    dirty = st.sampled_from(["", "-1", "0.5", "nan", "1e308", "A", "C", "L"])
+    cells = [clean[c] | dirty if draw(st.integers(0, 3), label="dirty") == 0 else clean[c]
+             for c in header]
+    rows = draw(st.lists(st.tuples(*cells), max_size=16), label="rows")
+    return "\n".join(",".join(r) for r in [header, *rows]) + "\n"
+
+
+@st.composite
+def _simulate_or_warpbreaks(draw):
+    """An argument list and the files it names, as {placeholder: text}.
+
+    ``--reps`` is always given and at most 3, so no example runs the
+    default 2000 repetitions; a file may be missing.
+    """
+    files = {}
+    if draw(st.booleans(), label="simulate"):
+        scenario = draw(st.sampled_from(["overdispersed-nuisance", "ignored-latent",
+                                         "power-correct-model", "hetero-t",
+                                         "multivariate", "bogus"]), label="scenario")
+        argv = ["simulate", "--scenario", scenario,
+                "--reps", draw(st.integers(1, 3).map(str), label="reps")]
+        flags = draw(st.fixed_dictionaries({}, optional=_SIM_FLAGS), label="flags")
+        if draw(st.integers(0, 2), label="corrupt a flag") == 0:
+            bad = draw(st.sampled_from(sorted(_SIM_FLAGS)), label="bad flag")
+            flags[bad] = draw(_BAD_TEXT, label="bad value")
+        config = draw(st.sampled_from([None, "{cfg}", None, "{cfg}", "{missing}"]),
+                      label="config")
+        if config is not None:
+            flags["--config"] = config
+            files["cfg"] = draw(_config_text(), label="config text")
+        if draw(st.booleans(), label="out"):
+            flags["--out"] = "{out}"
+    else:
+        argv = ["warpbreaks", "--w", draw(st.integers(-1, 64).map(str), label="w")]
+        flags = {"--data": "{data}"}
+        files["data"] = draw(_warpbreaks_csv(), label="data")
+        if draw(st.booleans(), label="json"):
+            argv.append("--json")
+    argv += [a for flag, value in flags.items() for a in (flag, value)]
+    return argv, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_simulate_or_warpbreaks())
+# each example below once ended in a bare exception
+@example(case=(["simulate", "--scenario", "hetero-t", "--reps", "1",
+                "--config", "{cfg}"], {"cfg": "foo=1\n"}))
+@example(case=(["simulate", "--scenario", "hetero-t", "--reps", "1",
+                "--config", "{cfg}"], {"cfg": "scenario=multivariate\n"}))
+@example(case=(["simulate", "--scenario", "ignored-latent", "--reps", "1",
+                "--config", "{cfg}"], {"cfg": "beta=abc\n"}))
+@example(case=(["simulate", "--scenario", "ignored-latent", "--reps", "1",
+                "--n", "0"], {}))
+@example(case=(["simulate", "--scenario", "overdispersed-nuisance", "--reps", "1",
+                "--n", "20", "--w", "10", "--theta", "-1"], {}))
+@example(case=(["simulate", "--scenario", "power-correct-model", "--reps", "1",
+                "--n", "20", "--w", "10", "--beta", "60"], {}))
+@example(case=(["simulate", "--scenario", "hetero-t", "--reps", "1",
+                "--config", "{missing}"], {}))
+@example(case=(["warpbreaks", "--w", "10", "--data", "{data}"],
+               {"data": "breaks,tension\n1,L\n2,M\n"}))
+def test_cmd_simulate_and_warpbreaks_any_arguments_end_in_a_documented_exit_code(
+        tmp_path_factory, case):
+    argv, files = case
+    base = tmp_path_factory.getbasetemp()
+    paths = {"missing": base / "missing.txt", "out": base / "curve.csv"}
+    for name, text in files.items():
+        paths[name] = base / f"fuzz-{name}.txt"
+        paths[name].write_text(text, encoding="utf-8")
+    argv = [a.format(**paths) for a in argv]
+    _assert_documented_exit(argv, files)

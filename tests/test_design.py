@@ -73,6 +73,8 @@ def test_unknown_and_constant_columns_rejected():
         build_design(table, tested=["c"])
     with pytest.raises(DesignError, match="tested and nuisance"):
         build_design(table, tested=["x"], nuisance=["x"])
+    with pytest.raises(DesignError, match="no rows"):
+        build_design({"x": np.zeros(0)}, tested=["x"])
 
 
 def test_tested_and_nuisance_partition_columns():
@@ -105,6 +107,15 @@ def test_read_csv_rejects_ragged(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n3\n", encoding="utf-8")
     with pytest.raises(DesignError, match="ragged"):
+        read_csv(path)
+
+
+def test_read_csv_rejects_unreadable_files(tmp_path):
+    with pytest.raises(DesignError, match="cannot read"):
+        read_csv(tmp_path / "missing.csv")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("a,b\n1,\xe9\n".encode("latin-1"))
+    with pytest.raises(DesignError, match="cannot read"):
         read_csv(path)
 
 

@@ -16,7 +16,6 @@ from signflip import (
     NumericalError,
     Poisson,
     ScoreSet,
-    StatVector,
     build_design,
     decide,
     effective_contributions,
@@ -28,6 +27,7 @@ from signflip import (
     p_value,
     score_contributions,
 )
+from signflip.glm import solve_spd, whiten
 from oracles import oracle_p_greater, oracle_reject_greater
 
 
@@ -231,7 +231,7 @@ def test_effective_scores_gaussian_centering_identity():
     scores = score_contributions(y, nf, design, fam)
     eff = effective_contributions(scores)
     expected = (x - x.mean()) * (y - nf.mu_hat)
-    assert np.max(np.abs(eff.nu_star[:, 0] - expected)) < 1e-10
+    assert np.max(np.abs(eff[:, 0] - expected)) < 1e-10
     assert_allclose(scores.info.proj, [[x.mean()]], rtol=1e-12)
 
 
@@ -248,7 +248,7 @@ def test_effective_equals_basic_when_orthogonal():
     scores = score_contributions(y, nf, design, fam)
     eff = effective_contributions(scores)
     assert abs(scores.info.I12[0, 0]) < 1e-15
-    assert np.max(np.abs(eff.nu_star - scores.nu)) < 1e-14
+    assert np.max(np.abs(eff - scores.nu)) < 1e-14
 
     # with I12 exactly zero the projection is the identity, bit for bit
     info0 = InfoBlocks(
@@ -261,7 +261,7 @@ def test_effective_equals_basic_when_orthogonal():
     eff0 = effective_contributions(
         ScoreSet(nu=scores.nu, nu_nuis=scores.nu_nuis, info=info0)
     )
-    assert_array_equal(eff0.nu_star, scores.nu)
+    assert_array_equal(eff0, scores.nu)
 
 
 def test_effective_scores_scale_linearly_in_misspecification():
@@ -283,7 +283,7 @@ def test_effective_scores_scale_linearly_in_misspecification():
     scaled = ScoreSet(nu=c1 * scores.nu, nu_nuis=c1 * scores.nu_nuis,
                       info=scores.info)
     eff = effective_contributions(scaled)
-    assert_allclose(eff.nu_star, c1 * base.nu_star, rtol=1e-12)
+    assert_allclose(eff, c1 * base, rtol=1e-12)
 
 
 def test_observed_effective_score_equals_observed_score_at_mle():
@@ -297,7 +297,7 @@ def test_observed_effective_score_equals_observed_score_at_mle():
     scores = score_contributions(y, nf, design, fam)
     eff = effective_contributions(scores)
     n = design.n
-    assert np.max(np.abs(eff.nu_star.sum(axis=0) - scores.nu.sum(axis=0))
+    assert np.max(np.abs(eff.sum(axis=0) - scores.nu.sum(axis=0))
                   ) / np.sqrt(n) < 1e-8
 
 
@@ -313,19 +313,27 @@ def test_chunked_signed_sums_are_position_addressed(monkeypatch):
     rng = np.random.default_rng(77)
     contribs = rng.integers(-9, 10, size=12).astype(float)
     plan = make_flip_plan(12, 300, seed=15)
-    whole = flip_statistics_scalar(contribs, plan).values
+    whole = flip_statistics_scalar(contribs, plan)
     monkeypatch.setattr(engine, "_CHUNK", 7)
-    chunked = flip_statistics_scalar(contribs, plan).values
+    chunked = flip_statistics_scalar(contribs, plan)
     assert_array_equal(whole, chunked)
 
 
-def test_complementary_flips_give_exactly_negated_statistics():
+@pytest.mark.parametrize("kind", ["scalar", "quadratic"])
+def test_complementary_flips_give_exactly_negated_statistics(kind):
     # row 2^n - 1 - j of the exhaustive plan is the complement of row j;
-    # the two-sided tie counts rely on its statistic being exactly -T_j
+    # the two-sided tie counts rely on its statistic being exactly -T_j,
+    # and the exact level of a quadratic form on its being exactly T_j
     rng = np.random.default_rng(79)
     plan = make_flip_plan(12, 2**12, mode="exhaustive")
-    values = flip_statistics_scalar(rng.normal(size=12), plan).values
-    assert_array_equal(values, -values[::-1])
+    if kind == "scalar":
+        values = flip_statistics_scalar(rng.normal(size=12), plan)
+        assert_array_equal(values, -values[::-1])
+    else:
+        M = rng.normal(size=(3, 3))
+        contribs = whiten(M @ M.T + np.eye(3), rng.normal(size=(12, 3)))
+        values = flip_statistics_quadratic(contribs, plan)
+        assert_array_equal(values, values[::-1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,15 +365,15 @@ def test_lookup_kernel_matches_dense_product(n, d, w, seed, mode):
 
 def test_scalar_statistics_zero_contributions():
     plan = make_flip_plan(5, 12, seed=1)
-    sv = flip_statistics_scalar(np.zeros(5), plan)
-    assert_array_equal(sv.values, np.zeros(12))
+    stats = flip_statistics_scalar(np.zeros(5), plan)
+    assert_array_equal(stats, np.zeros(12))
 
 
 def test_scalar_statistics_hand_enumeration_n2():
     plan = make_flip_plan(2, 4, mode="exhaustive")
-    sv = flip_statistics_scalar(np.array([1.0, -1.0]), plan)
+    stats = flip_statistics_scalar(np.array([1.0, -1.0]), plan)
     root2 = np.sqrt(2.0)
-    assert_allclose(sv.values, [0.0, root2, -root2, 0.0], atol=1e-15)
+    assert_allclose(stats, [0.0, root2, -root2, 0.0], atol=1e-15)
 
 
 def test_identity_flip_is_observed_statistic():
@@ -374,30 +382,30 @@ def test_identity_flip_is_observed_statistic():
     # integer contributions: every summation order is exact, so the
     # identity-flip value equals the observed sum bit for bit
     ints = rng.integers(-9, 10, size=24).astype(float)
-    sv = flip_statistics_scalar(ints, plan)
-    assert sv.values[0] == ints.sum() / np.sqrt(24.0)
+    stats = flip_statistics_scalar(ints, plan)
+    assert stats[0] == ints.sum() / np.sqrt(24.0)
     floats = rng.normal(size=24)
-    sv = flip_statistics_scalar(floats, plan)
-    assert abs(sv.values[0] - floats.sum() / np.sqrt(24.0)) < 1e-14
+    stats = flip_statistics_scalar(floats, plan)
+    assert abs(stats[0] - floats.sum() / np.sqrt(24.0)) < 1e-14
 
 
 def test_quadratic_reduces_to_squared_scalar_for_d1():
     rng = np.random.default_rng(83)
     contribs = rng.normal(size=16)
     plan = make_flip_plan(16, 64, seed=6)
-    sv1 = flip_statistics_scalar(contribs, plan)
-    sv2 = flip_statistics_quadratic(contribs[:, None], np.eye(1), plan)
-    assert_allclose(sv2.values, sv1.values**2, rtol=0, atol=0)
-    assert np.all(sv2.values >= 0)
+    scalar = flip_statistics_scalar(contribs, plan)
+    quad = flip_statistics_quadratic(contribs[:, None], plan)
+    assert_allclose(quad, scalar**2, rtol=0, atol=0)
+    assert np.all(quad >= 0)
 
 
 def test_quadratic_identity_vhat_invariant_to_column_permutation():
     rng = np.random.default_rng(89)
     contribs = rng.normal(size=(20, 3))
     plan = make_flip_plan(20, 50, seed=8)
-    a = flip_statistics_quadratic(contribs, np.eye(3), plan)
-    b = flip_statistics_quadratic(contribs[:, [2, 0, 1]], np.eye(3), plan)
-    assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-12)
+    a = flip_statistics_quadratic(contribs, plan)
+    b = flip_statistics_quadratic(contribs[:, [2, 0, 1]], plan)
+    assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 def test_quadratic_rao_statistic_at_identity_flip():
@@ -413,27 +421,24 @@ def test_quadratic_rao_statistic_at_identity_flip():
     nf = fit_null(y, design, fam)
     scores = score_contributions(y, nf, design, fam)
     eff = effective_contributions(scores)
-    from signflip.glm import solve_spd
-
     i_star = scores.info.i_star
-    vhat = solve_spd(i_star, np.eye(d))
-    vhat = 0.5 * (vhat + vhat.T)
     plan = make_flip_plan(n, 10, seed=10)
-    sv = flip_statistics_quadratic(eff.nu_star, vhat, plan)
-    s = eff.nu_star.sum(axis=0) / np.sqrt(n)
+    stats = flip_statistics_quadratic(whiten(i_star, eff), plan)
+    s = eff.sum(axis=0) / np.sqrt(n)
     rao = float(s @ solve_spd(i_star, s))
-    assert abs(sv.values[0] - rao) < 1e-10
+    assert abs(stats[0] - rao) < 1e-10
 
 
-def test_quadratic_rejects_bad_vhat():
-    plan = make_flip_plan(6, 8, seed=2)
+def test_whiten_rejects_indefinite_matrix():
     contribs = np.ones((6, 2))
-    with pytest.raises(NumericalError, match="semi-definite"):
-        flip_statistics_quadratic(contribs, np.array([[1.0, 0.0], [0.0, -1.0]]),
-                                  plan)
-    with pytest.raises(NumericalError, match="symmetric"):
-        flip_statistics_quadratic(contribs, np.array([[1.0, 0.5], [0.0, 1.0]]),
-                                  plan)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        whiten(np.array([[1.0, 0.0], [0.0, -1.0]]), contribs)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        whiten(np.array([[1.0, 2.0], [2.0, 1.0]]), contribs)
+    # the same finiteness checks as solve_spd
+    contribs[3, 1] = np.nan
+    with pytest.raises(NumericalError, match="NaN or an infinity"):
+        whiten(np.eye(2), contribs)
 
 
 # ------------------------------------------------------------------ #
@@ -442,21 +447,21 @@ def test_quadratic_rejects_bad_vhat():
 
 def test_decide_greater_w20_rejects_only_unique_max():
     vals = np.concatenate([[5.0], np.linspace(-1, 4, 19)])
-    res = decide(StatVector(vals), 0.05, "greater")
+    res = decide(vals, 0.05, "greater")
     assert res.reject
     tied = vals.copy()
     tied[1] = 5.0
-    res = decide(StatVector(tied), 0.05, "greater")
+    res = decide(tied, 0.05, "greater")
     assert not res.reject
 
 
 def test_decide_all_equal_never_rejects():
     vals = np.full(40, 2.5)
     for alternative in ("greater", "less", "two-sided-abs", "two-sided-tails"):
-        res = decide(StatVector(vals), 0.25, alternative)
+        res = decide(vals, 0.25, alternative)
         assert not res.reject
         if alternative != "two-sided-tails":
-            assert p_value(StatVector(vals), alternative) == 1.0
+            assert p_value(vals, alternative) == 1.0
 
 
 def test_decide_and_p_value_agree_without_ties():
@@ -464,11 +469,10 @@ def test_decide_and_p_value_agree_without_ties():
     w = 37
     for _ in range(10_000):
         vals = rng.normal(size=w)
-        sv = StatVector(vals)
         alpha = float(rng.uniform(0.02, 0.5))
         threshold = np.floor(alpha * w + 1e-9) / w
-        assert decide(sv, alpha, "greater").reject == (
-            p_value(sv, "greater") <= threshold
+        assert decide(vals, alpha, "greater").reject == (
+            p_value(vals, "greater") <= threshold
         )
 
 
@@ -478,11 +482,10 @@ def test_decide_matches_first_principles_oracle():
         w = int(rng.integers(5, 60))
         vals = rng.normal(size=w)
         alpha = float(rng.uniform(0.01, 0.6))
-        sv = StatVector(vals)
-        assert decide(sv, alpha, "greater").reject == oracle_reject_greater(
+        assert decide(vals, alpha, "greater").reject == oracle_reject_greater(
             list(vals), alpha
         )
-        assert p_value(sv, "greater") == oracle_p_greater(list(vals))
+        assert p_value(vals, "greater") == oracle_p_greater(list(vals))
 
 
 @settings(max_examples=300, deadline=None)
@@ -492,21 +495,20 @@ def test_decide_matches_first_principles_oracle():
 )
 def test_decide_matches_oracle_on_tied_integer_statistics(values, alpha):
     vals = np.asarray(values, dtype=float)
-    assert decide(StatVector(vals), alpha, "greater").reject == (
+    assert decide(vals, alpha, "greater").reject == (
         oracle_reject_greater(list(vals), alpha)
     )
     # less is greater on the negated statistics
-    assert decide(StatVector(vals), alpha, "less").reject == (
+    assert decide(vals, alpha, "less").reject == (
         oracle_reject_greater(list(-vals), alpha)
     )
 
 
 def test_two_sided_tails_requires_multiples_of_one_over_w():
     vals = np.linspace(-1, 1, 20)
-    sv = StatVector(vals)
     with pytest.raises(DesignError, match="multiples"):
-        decide(sv, 0.1, "two-sided-tails", alpha1=0.033, alpha2=0.05)
-    res = decide(sv, 0.1, "two-sided-tails", alpha1=0.05, alpha2=0.05)
+        decide(vals, 0.1, "two-sided-tails", alpha1=0.033, alpha2=0.05)
+    res = decide(vals, 0.1, "two-sided-tails", alpha1=0.05, alpha2=0.05)
     assert res.alternative == "two-sided-tails"
 
 
@@ -514,13 +516,12 @@ def test_two_sided_tails_needs_both_tail_levels_or_neither():
     # T_1 is the largest of 100 values, so the default tails (0.05 each)
     # reject; a lone alpha1 = 0.01 is refused, not replaced by the default
     vals = np.concatenate([[100.0], np.arange(99.0)])
-    sv = StatVector(vals)
     with pytest.raises(DesignError, match="both alpha1 and alpha2"):
-        decide(sv, 0.1, "two-sided-tails", alpha1=0.01)
+        decide(vals, 0.1, "two-sided-tails", alpha1=0.01)
     with pytest.raises(DesignError, match="both alpha1 and alpha2"):
-        decide(sv, 0.1, "two-sided-tails", alpha2=0.01)
-    assert decide(sv, 0.1, "two-sided-tails").reject
-    assert not decide(sv, 0.1, "two-sided-tails", alpha1=0.01, alpha2=0.0).reject
+        decide(vals, 0.1, "two-sided-tails", alpha2=0.01)
+    assert decide(vals, 0.1, "two-sided-tails").reject
+    assert not decide(vals, 0.1, "two-sided-tails", alpha1=0.01, alpha2=0.0).reject
 
 
 def test_two_sided_tails_union_of_one_sided_rules():
@@ -528,21 +529,18 @@ def test_two_sided_tails_union_of_one_sided_rules():
     w = 40
     for _ in range(500):
         vals = rng.normal(size=w)
-        sv = StatVector(vals)
-        tails = decide(sv, 0.1, "two-sided-tails", alpha1=0.05, alpha2=0.05)
-        lo = decide(sv, 0.05, "less")
-        hi = decide(sv, 0.05, "greater")
+        tails = decide(vals, 0.1, "two-sided-tails", alpha1=0.05, alpha2=0.05)
+        lo = decide(vals, 0.05, "less")
+        hi = decide(vals, 0.05, "greater")
         assert tails.reject == (lo.reject or hi.reject)
 
 
 def test_p_value_counting_and_bounds():
     vals = np.concatenate([[10.0], np.arange(99, dtype=float)])
-    sv = StatVector(vals)
-    assert p_value(StatVector(np.concatenate([[1000.0], np.arange(99.0)])),
-                   "greater") == 0.01
-    assert p_value(sv, "greater") >= 1 / 100
+    assert p_value(np.concatenate([[1000.0], np.arange(99.0)]), "greater") == 0.01
+    assert p_value(vals, "greater") >= 1 / 100
     with pytest.raises(DesignError):
-        p_value(sv, "two-sided-tails")
+        p_value(vals, "two-sided-tails")
 
 
 def test_scale_equivariance_of_scalar_statistics_and_decisions():
@@ -551,7 +549,7 @@ def test_scale_equivariance_of_scalar_statistics_and_decisions():
     plan = make_flip_plan(30, 100, seed=11)
     base = flip_statistics_scalar(contribs, plan)
     scaled = flip_statistics_scalar(3.5 * contribs, plan)
-    assert_allclose(scaled.values, 3.5 * base.values, rtol=1e-12)
+    assert_allclose(scaled, 3.5 * base, rtol=1e-12)
     for alternative in ("greater", "less", "two-sided-abs"):
         assert p_value(base, alternative) == p_value(scaled, alternative)
         assert (
@@ -591,7 +589,7 @@ def test_flip_test_misspecification_hooks_leave_decision_unchanged():
     scores = score_contributions(y, fit, design, fam)
     scores = ScoreSet(nu=5.0 * scores.nu, nu_nuis=5.0 * scores.nu_nuis,
                       info=scores.info)
-    nu_star = effective_contributions(scores).nu_star
+    nu_star = effective_contributions(scores)
     plan = make_flip_plan(design.n, 300, seed=31)
     scaled = decide(flip_statistics_scalar(nu_star[:, 0], plan), 0.05,
                     "two-sided-abs")
@@ -612,8 +610,10 @@ def test_flip_test_provenance_and_validation():
         flip_test(y, design, Gaussian(), method="oracle")
     x2 = rng.normal(size=20)
     design2 = build_design({"x": x, "x2": x2}, tested=["x", "x2"], intercept=True)
-    with pytest.raises(DesignError, match="vhat"):
-        flip_test(y, design2, Gaussian(), vhat="bogus", w=16)
+    # vhat is checked for every d, the scalar statistic included
+    for des in (design, design2):
+        with pytest.raises(DesignError, match="vhat"):
+            flip_test(y, des, Gaussian(), vhat="bogus", w=16)
 
 
 def test_flip_test_multivariate_paths():
@@ -646,8 +646,8 @@ def test_flip_statistics_uncorrelated_and_normal_under_null():
     for r in range(reps):
         contribs = rng.standard_normal(n)
         plan = make_flip_plan(n, 5, seed=r)
-        sv = flip_statistics_scalar(contribs, plan)
-        t2[r], t3[r] = sv.values[1], sv.values[2]
+        stats = flip_statistics_scalar(contribs, plan)
+        t2[r], t3[r] = stats[1], stats[2]
     corr = np.corrcoef(t2, t3)[0, 1]
     assert abs(corr) < 4.0 / np.sqrt(reps)
 
@@ -687,7 +687,7 @@ def test_effective_score_nuisance_orthogonality():
             fit = fit_null(yy, des, fam_r)
             sc = score_contributions(yy, fit, des, fam_r)
             ef = effective_contributions(sc)
-            a = ef.nu_star[:, 0]
+            a = ef[:, 0]
             b = sc.nu_nuis[:, 1]  # the z column
             covs.append(np.mean(a * b) - a.mean() * b.mean())
         return np.asarray(covs)
@@ -708,8 +708,8 @@ def test_exhaustive_mode_exact_rejection_probability():
     for r in range(reps):
         contribs = rng.standard_normal(n)
         plan = make_flip_plan(n, w, mode="exhaustive", seed=r)
-        sv = flip_statistics_scalar(contribs, plan)
-        rejects += decide(sv, alpha, "greater").reject
+        stats = flip_statistics_scalar(contribs, plan)
+        rejects += decide(stats, alpha, "greater").reject
     rate = rejects / reps
     se = np.sqrt(target * (1 - target) / reps)
     assert abs(rate - target) < 3.0 * se

@@ -137,11 +137,6 @@ def test_non_finite_response_rejected_before_fitting(family, bad):
         flip_test(y, design, family, w=16)
 
 
-def test_dispersion_is_one_for_fitting_families():
-    for fam in FITTING_FAMILIES:
-        assert_allclose(fam.dispersion(6), np.ones(6))
-
-
 def test_family_from_name():
     assert family_from_name("poisson").name == "poisson"
     assert family_from_name("binomial", trials=3).trials == 3

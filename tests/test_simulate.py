@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from signflip import (
     DesignError,
+    NumericalError,
     gen_hetero_normal,
     gen_mvn_covariates,
     gen_negbin_response,
@@ -89,6 +90,9 @@ def test_negbin_variance_targets(theta, mu, target):
 def test_negbin_validation():
     with pytest.raises(DesignError):
         gen_negbin_response(np.zeros(5), theta=0.0, seed=0)
+    # a mean past numpy's Poisson limit (about 9.2e18) fails that draw
+    with pytest.raises(NumericalError, match="cannot draw Poisson counts"):
+        gen_negbin_response(np.full(5, 60.0), theta=1.0, seed=0)
 
 
 def test_hetero_normal_constant_mean():
@@ -282,6 +286,13 @@ def test_read_config_file(tmp_path):
     bad.write_text("n 50\n", encoding="utf-8")
     with pytest.raises(DesignError):
         read_config_file(bad)
+    bad.write_text("n=inf\n", encoding="utf-8")  # no int(); validate names it
+    assert read_config_file(bad) == {"n": float("inf")}
+    bad.write_text("beta=1,abc\n", encoding="utf-8")
+    with pytest.raises(DesignError, match="'beta' must be comma-separated numbers"):
+        read_config_file(bad)
+    with pytest.raises(DesignError, match="cannot read"):
+        read_config_file(tmp_path / "missing.txt")
 
 
 def test_config_validation():
@@ -289,3 +300,20 @@ def test_config_validation():
         scenario_config("hetero-t", alpha_grid=np.array([0.2, 0.1]))
     with pytest.raises(DesignError, match="reps"):
         scenario_config("hetero-t", reps=0)
+    # every bad field is a DesignError that names it
+    bad = [
+        ({"foo": 1}, "unknown config field 'foo'"),
+        ({"scenario": "multivariate"}, "unknown config field 'scenario'"),
+        ({"beta": "abc"}, "beta must be numeric"),
+        ({"gamma0": [1.0, np.nan]}, "gamma0 must be finite"),
+        ({"theta": -1.0}, "theta must be positive"),
+        ({"rho": "abc"}, "rho must be numeric"),
+        ({"n": 0}, "n must be at least 1"),
+        ({"n": 2.5}, "n must be an integer"),
+        ({"alpha_grid": "abc"}, "alpha_grid must be numeric"),
+    ]
+    for overrides, message in bad:
+        with pytest.raises(DesignError, match=message):
+            scenario_config("ignored-latent", **overrides)
+    with pytest.raises(DesignError, match="beta must be a single number"):
+        scenario_config("hetero-t", beta=[0.0, 1.0])
