@@ -17,7 +17,15 @@ there are no ties.
 
 Signed sums read the bit-packed, byte-major plan through 256-entry
 lookup tables, one per plan byte and tested column, walking each byte
-row of the plan contiguously, so no dense sign matrix is formed.
+row of the plan contiguously, so no dense sign matrix is formed.  The
+tables are built in blocks of at most 64 plan bytes, so their memory
+does not grow with n; the (d, w) signed sums are the only array that
+grows with w, and they are scaled in place and counted without a copy.
+A call with few tested columns therefore peaks at about the plan plus
+the statistics.  Each flip adds its bytes' entries in ascending byte
+order however the blocks fall, so the statistics are bit-identical to
+those of one whole table, and a complementary flip still gives exactly
+the negated sums.
 
 Effective scores subtract the information-weighted projection of the
 nuisance contributions, which removes the first-order effect of
@@ -45,6 +53,7 @@ __all__ = [
 
 ALTERNATIVES = ("greater", "less", "two-sided-abs", "two-sided-tails")
 _CHUNK = 1 << 14  # flips summed per block
+_BYTE_BLOCK = 64  # plan bytes per block of byte tables
 
 
 @dataclass(frozen=True)
@@ -102,21 +111,28 @@ def _byte_tables(contribs):
 def _signed_sums(signs, contribs):
     """(w, d) signed column sums for a byte-major packed plan.
 
-    Each flip adds its bytes' table entries in byte order, one block of
-    flips at a time, reading every byte row of the block as one
-    contiguous run; a flip's sum never depends on the others, so the
-    result is bit-identical no matter how the flips are partitioned.
-    The result is the transposed view of a (d, w) array.
+    The byte tables are built ``_BYTE_BLOCK`` plan bytes at a time, so
+    the tables and the per-step temporaries stay within
+    O(_BYTE_BLOCK * 256 * d) whatever n and w are, and the (d, w) output
+    is the only array that grows with w.  A block's entries are those of
+    one whole table, since each depends only on the 8 rows of its byte.
+    Each flip adds its bytes' entries in ascending byte order, block
+    after block, one block of flips at a time, so the result is
+    bit-identical however the bytes and flips are partitioned.  The
+    result is the transposed view of a (d, w) array.
     """
-    tab = _byte_tables(contribs)
     nb, w = signs.shape
     out = np.empty((contribs.shape[1], w))
-    for start in range(0, w, _CHUNK):
-        block = signs[:, start : start + _CHUNK]
-        acc = out[:, start : start + _CHUNK]
-        np.take(tab[0], block[0], axis=1, out=acc)
-        for b in range(1, nb):
-            acc += tab[b].take(block[b], axis=1)
+    for b0 in range(0, nb, _BYTE_BLOCK):
+        tab = _byte_tables(contribs[8 * b0 : 8 * (b0 + _BYTE_BLOCK)])
+        for start in range(0, w, _CHUNK):
+            acc = out[:, start : start + _CHUNK]
+            rows = zip(tab, signs[b0 : b0 + _BYTE_BLOCK, start : start + _CHUNK])
+            if b0 == 0:  # the plan's first byte starts every sum
+                table, idx = next(rows)
+                np.take(table, idx, axis=1, out=acc)
+            for table, idx in rows:
+                acc += table.take(idx, axis=1)
     return out.T
 
 
@@ -131,7 +147,9 @@ def flip_statistics_scalar(contribs, plan):
         raise DesignError(
             f"contributions have length {contribs.shape[0]}, plan has n={plan.n}"
         )
-    return _signed_sums(plan.signs, contribs[:, None])[:, 0] / math.sqrt(plan.n)
+    values = _signed_sums(plan.signs, contribs[:, None])[:, 0]
+    values /= math.sqrt(plan.n)
+    return values
 
 
 def flip_statistics_quadratic(contribs, plan):
@@ -149,7 +167,8 @@ def flip_statistics_quadratic(contribs, plan):
         raise DesignError(
             f"contributions have {contribs.shape[0]} rows, plan has n={plan.n}"
         )
-    s = _signed_sums(plan.signs, contribs) / math.sqrt(plan.n)
+    s = _signed_sums(plan.signs, contribs)
+    s /= math.sqrt(plan.n)
     return np.einsum("wd,wd->w", s, s)
 
 
@@ -165,7 +184,11 @@ def _count(vals, alternative):
     if alternative == "less":
         return int(np.count_nonzero(vals <= vals[0]))
     if alternative == "two-sided-abs":
-        return int(np.count_nonzero(np.abs(vals) >= abs(vals[0])))
+        # |T_j| >= a as T_j >= a or T_j <= -a, with no |T| copy; at a == 0
+        # both sides hold a zero, so the lower side then counts T_j < 0
+        a = abs(vals[0])
+        below = vals < -a if a == 0 else vals <= -a
+        return int(np.count_nonzero(vals >= a)) + int(np.count_nonzero(below))
     raise DesignError(
         f"p_value is defined for greater/less/two-sided-abs, got {alternative!r}"
     )
@@ -269,13 +292,14 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     else:
         contribs = scores.nu
 
-    plan = make_flip_plan(design.n, w, mode=mode, seed=seed)
     if design.d == 1:
-        stats = flip_statistics_scalar(contribs[:, 0], plan)
+        kernel, contribs = flip_statistics_scalar, contribs[:, 0]
     else:
+        kernel = flip_statistics_quadratic
         if vhat == "inv-effective-info":
             contribs = whiten(scores.effective_information(), contribs)
-        stats = flip_statistics_quadratic(contribs, plan)
+    # no name holds the plan, so it is freed before decide runs
+    stats = kernel(contribs, make_flip_plan(design.n, w, mode=mode, seed=seed))
 
     result = decide(stats, alpha, alternative, method=f"flip-{method}")
     return replace(result, w=w, seed=int(seed))

@@ -29,6 +29,7 @@ exhaustive
     ordered as binary counting with the last coordinate moving fastest.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,24 @@ def keyed_rng(seed, stream=0):
         [np.uint64(int(seed) & _SEED_MASK), np.uint64(int(stream) & _SEED_MASK)]
     )
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def require_memory(what, need):
+    """DesignError unless ``need`` bytes fit in the machine's physical memory.
+
+    Callers check a size before allocating it, so an input that cannot fit
+    is refused as an input error rather than a numpy ValueError or
+    MemoryError.  Where ``os.sysconf`` cannot report the memory there is
+    nothing to compare with, and nothing is checked.
+    """
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise DesignError(
+            f"{what} need {need} bytes, more than the {have} bytes of physical memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -172,8 +191,9 @@ def _sample_distinct(rng, n, w):
 def make_flip_plan(n, w, mode="with-replacement", seed=0):
     """Build the packed plan of w sign vectors for (n, w, mode, seed).
 
-    Raises DesignError when w < 2, when without-replacement is asked for
-    more rows than 2^n, or when exhaustive is requested with n > 20 or
+    Raises DesignError when w < 2, when the plan's w * ceil(n/8) bytes
+    exceed physical memory, when without-replacement is asked for more
+    rows than 2^n, or when exhaustive is requested with n > 20 or
     w != 2^n.
     """
     n = int(n)
@@ -184,6 +204,10 @@ def make_flip_plan(n, w, mode="with-replacement", seed=0):
         raise DesignError("flip count w must be at least 2")
     if mode not in MODES:
         raise DesignError(f"unknown flip mode {mode!r}; choose from {MODES}")
+    # w > 2^n, without forming 2^n for a huge n
+    if mode == "without-replacement" and (w - 1).bit_length() > n:
+        raise DesignError(f"without-replacement needs w <= 2^n, got w={w} for n={n}")
+    require_memory(f"the plan's w={w} flips of n={n} observations", -(-n // 8) * w)
 
     if mode == "exhaustive":
         if n > _EXHAUSTIVE_MAX_N:
@@ -194,9 +218,6 @@ def make_flip_plan(n, w, mode="with-replacement", seed=0):
             raise DesignError(f"exhaustive mode requires w = 2^n = {1 << n}, got {w}")
         signs = _pack_codes(np.arange(w), n)
         return FlipPlan(n=n, w=w, mode=mode, seed=int(seed), signs=signs)
-
-    if mode == "without-replacement" and w > 1 << n:
-        raise DesignError(f"without-replacement needs w <= 2^n, got w={w} for n={n}")
 
     rng = keyed_rng(seed, _PLAN_STREAM)
     if mode == "with-replacement":

@@ -38,7 +38,7 @@ from .engine import (
 )
 from .exceptions import DesignError, NumericalError
 from .families import Poisson
-from .flips import keyed_rng, make_flip_plan
+from .flips import keyed_rng, make_flip_plan, require_memory
 from .glm import cholesky_lower, fit_null, score_contributions
 
 __all__ = [
@@ -143,6 +143,9 @@ class SimConfig:
             self.gamma0 = _finite("gamma0", self.gamma0)
             if self.beta.size != self.gamma0.size:
                 raise DesignError("beta and gamma0 must have the same dimension")
+        # a lower bound, checked before a repetition allocates anything: a
+        # float per observation (make_flip_plan checks w's plan bytes)
+        require_memory(f"n={self.n} observations", 8 * self.n)
         return self
 
 

@@ -442,8 +442,10 @@ _SIM_FLAGS = {
 }
 _BAD_TEXT = st.sampled_from(["-2", "-1", "0", "1", "2.5", "60", "nan", "inf", "-inf",
                              "1e308", "a", "", "1,a", "uniform"])
-# no huge sizes: n or w past what memory holds is not an input error
-_BAD_SIZE = st.sampled_from(["-2", "0", "1", "2.5", "nan", "inf", "a", ""])
+# huge n or w is refused before anything is allocated; a huge reps is
+# harmless here, since the --reps flag that every example gives wins
+_BAD_SIZE = st.sampled_from(["-2", "0", "1", "2.5", "nan", "inf", "a", "", "1e15",
+                             "1e308"])
 _CONFIG_KEYS = ("n", "reps", "w", "seed", "beta", "gamma0", "gamma0_latent", "rho",
                 "theta", "sigma_rule", "sigma", "alpha_grid")
 
@@ -531,6 +533,14 @@ def _simulate_or_warpbreaks(draw):
                 "--config", "{missing}"], {}))
 @example(case=(["warpbreaks", "--w", "10", "--data", "{data}"],
                {"data": "breaks,tension\n1,L\n2,M\n"}))
+@example(case=(["simulate", "--scenario", "ignored-latent", "--reps", "1",
+                "--config", "{cfg}"], {"cfg": "n=1e308\n"}))
+@example(case=(["simulate", "--scenario", "ignored-latent", "--reps", "1",
+                "--config", "{cfg}"], {"cfg": "w=1e308\n"}))
+@example(case=(["simulate", "--scenario", "hetero-t", "--reps", "1",
+                "--config", "{cfg}"], {"cfg": "n=1e15\n"}))
+@example(case=(["simulate", "--scenario", "multivariate", "--reps", "1",
+                "--config", "{cfg}"], {"cfg": "w=1e15\n"}))
 def test_cmd_simulate_and_warpbreaks_any_arguments_end_in_a_documented_exit_code(
         tmp_path_factory, case):
     argv, files = case

@@ -1,6 +1,7 @@
 """Flip plans, flip statistics, decision rules and the flip test."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -26,6 +27,7 @@ from signflip import (
     make_flip_plan,
     p_value,
     score_contributions,
+    warpbreaks,
 )
 from signflip.glm import solve_spd, whiten
 from oracles import oracle_p_greater, oracle_reject_greater
@@ -86,6 +88,13 @@ def test_plan_validation_errors():
         make_flip_plan(3, 7, mode="exhaustive")  # w != 2^n
     with pytest.raises(DesignError):
         make_flip_plan(3, 4, mode="bootstrap")
+    # refused before anything is allocated: 5 * 10^15 plan bytes
+    with pytest.raises(DesignError, match="need 5000000000000000 bytes, more than"):
+        make_flip_plan(40, 10**15)
+    with pytest.raises(DesignError, match="bytes, more than"):
+        make_flip_plan(10**308, 2)
+    with mock.patch("os.sysconf", side_effect=ValueError):  # memory unknown
+        assert make_flip_plan(3, 4).signs.shape == (1, 4)
 
 
 def test_without_replacement_rejects_w_above_two_to_the_n_for_any_n():
@@ -361,6 +370,32 @@ def test_lookup_kernel_matches_dense_product(n, d, w, seed, mode):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", 7)
         assert_array_equal(engine._signed_sums(plan.signs, contribs), got)
+        # byte-table blocks of any size give the same sums bit for bit
+        for byte_block in (1, 2, 5):
+            mp.setattr(engine, "_BYTE_BLOCK", byte_block)
+            assert_array_equal(engine._signed_sums(plan.signs, contribs), got)
+
+
+def test_flip_test_peak_memory_is_the_plan_and_the_statistics():
+    # the statistics are the only w-length float array: they are scaled in
+    # place and counted without an |T| copy, and the plan is freed before
+    # decide runs; a second statistics array would add 8w bytes
+    table = warpbreaks()
+    design = build_design({"wool": table["wool"], "tension": table["tension"]},
+                          tested=["wool"], nuisance=["tension"], intercept=True)
+    w = 200_000
+
+    def call():
+        return flip_test(table["breaks"], design, Poisson(), w=w, seed=4)
+    call()  # lazy imports and caches are not part of the call's memory
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plan_bytes = -(-design.n // 8) * w
+    assert peak <= plan_bytes + 8 * w + 2**19
 
 
 def test_scalar_statistics_zero_contributions():
@@ -502,6 +537,27 @@ def test_decide_matches_oracle_on_tied_integer_statistics(values, alpha):
     assert decide(vals, alpha, "less").reject == (
         oracle_reject_greater(list(-vals), alpha)
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.inf,
+                                     -np.inf, np.nan]), min_size=1, max_size=30),
+    alpha=st.floats(0.01, 0.99),
+)
+@example(values=[0.0, -0.0, 0.0, 1.0, -1.0], alpha=0.5)
+@example(values=[-0.0, 0.0, -2.5, np.nan], alpha=0.3)
+@example(values=[np.nan, 1.0, np.nan], alpha=0.5)
+@example(values=[-np.inf, np.inf, 1.0, -np.inf], alpha=0.7)
+def test_two_sided_abs_count_matches_an_abs_oracle(values, alpha):
+    # p_value and decide count |T_j| >= |T_1| without forming |T|; the
+    # oracle forms it, with ties, signed zeros, infinities and NaN
+    vals = np.asarray(values)
+    p = np.count_nonzero(np.abs(vals) >= np.abs(vals[0])) / vals.size
+    assert p_value(vals, "two-sided-abs") == p
+    res = decide(vals, alpha, "two-sided-abs")
+    assert res.p_value == p
+    assert res.reject == (p <= alpha)
 
 
 def test_two_sided_tails_requires_multiples_of_one_over_w():

@@ -311,6 +311,10 @@ def test_config_validation():
         ({"n": 0}, "n must be at least 1"),
         ({"n": 2.5}, "n must be an integer"),
         ({"alpha_grid": "abc"}, "alpha_grid must be numeric"),
+        # sizes past physical memory, refused before anything is allocated
+        ({"n": 10**15}, "n=1000000000000000 observations need 8000000000000000 "
+                        "bytes, more than"),
+        ({"n": int(1e308)}, "observations need 8\\d{308} bytes"),
     ]
     for overrides, message in bad:
         with pytest.raises(DesignError, match=message):
