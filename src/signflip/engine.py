@@ -15,17 +15,20 @@ count the identity flip, so they live in [1/w, 1] and
 p <= floor(alpha*w)/w agrees with the order-statistic rule whenever
 there are no ties.
 
-Signed sums read the bit-packed, byte-major plan through 256-entry
-lookup tables, one per plan byte and tested column, walking each byte
-row of the plan contiguously, so no dense sign matrix is formed.  The
-tables are built in blocks of at most 64 plan bytes, so their memory
-does not grow with n; the (d, w) signed sums are the only array that
-grows with w, and they are scaled in place and counted without a copy.
-A call with few tested columns therefore peaks at about the plan plus
-the statistics.  Each flip adds its bytes' entries in ascending byte
-order however the blocks fall, so the statistics are bit-identical to
-those of one whole table, and a complementary flip still gives exactly
-the negated sums.
+Signed sums read the bit-packed, byte-major plan through one 256-row
+lookup table per plan byte, whose row v holds the signed sums of all
+tested columns for byte value v, walking each byte row of the plan
+contiguously: each plan byte of a flip costs one copy of a whole table
+row, and no dense sign matrix is formed.  The tables are built in
+blocks of at most 32 plan bytes, so their memory does not grow with n;
+the (w, d) signed sums, with d = 3 padded to 4 columns, are the only
+array that grows with w, and they are scaled in place (and squared in
+place for a quadratic form) and counted without a copy.  A call with few
+tested columns therefore peaks at about the plan plus the statistics.  Each flip adds its bytes'
+entries in ascending byte order however the blocks fall, so the
+statistics are bit-identical to those of one whole table, and a
+complementary flip still gives exactly the negated sums.  A quadratic
+form adds its squared columns one at a time, in column order.
 
 Effective scores subtract the information-weighted projection of the
 nuisance contributions, which removes the first-order effect of
@@ -53,7 +56,7 @@ __all__ = [
 
 ALTERNATIVES = ("greater", "less", "two-sided-abs", "two-sided-tails")
 _CHUNK = 1 << 14  # flips summed per block
-_BYTE_BLOCK = 64  # plan bytes per block of byte tables
+_BYTE_BLOCK = 32  # plan bytes per block of byte tables
 
 
 @dataclass(frozen=True)
@@ -78,62 +81,70 @@ def effective_contributions(score_set):
     return score_set.nu - score_set.nu_nuis @ score_set.info.proj
 
 
-def _byte_tables(contribs):
+def _byte_tables(contribs, width):
     """Signed partial sums of the contributions, per byte of a packed plan.
 
-    Returns ``tab`` of shape (ceil(n/8), d, 256) with
-    ``tab[b, c, v] = sum_k (-1)^bit_k(v) * contribs[8b + k, c]``, the
-    contributions past n taken as zero.  Each nibble's 16 sums are built
-    by sign doubling, adding bit k's term to every entry in the same
-    order, and a byte's entry adds its two nibble sums.  Complementary
-    bytes therefore get exactly negated entries, and the complement of a
-    flip gets exactly the negated sum.
+    Returns ``tab`` of shape (ceil(n/8), 256, width) with
+    ``tab[b, v, c] = sum_k (-1)^bit_k(v) * contribs[8b + k, c]``, the
+    contributions past n and the columns past d taken as zero, so the
+    columns of an entry are one contiguous row.  Each nibble's 16 sums are
+    built by sign doubling, adding bit k's term to every entry in the
+    same order, and a byte's entry adds its two nibble sums.
+    Complementary bytes therefore get exactly negated entries, and the
+    complement of a flip gets exactly the negated sum.
     """
     n, d = contribs.shape
     nb = -(-n // 8)
-    padded = np.zeros((nb * 8, d))
-    padded[:n] = contribs
-    # terms[h, k] holds bit 4h + k's contribution for every byte and column
-    terms = padded.reshape(nb, 2, 4, d).transpose(1, 2, 0, 3).reshape(2, 4, nb * d)
-    nib = np.empty((16, 2, nb * d))
-    nib[0] = terms[:, 0]
-    np.negative(terms[:, 0], out=nib[1])
+    padded = np.zeros((nb * 8, width))
+    padded[:n, :d] = contribs
+    # terms[k, h] holds bit 4h + k's contribution for every byte and column
+    terms = padded.reshape(nb, 2, 4, width).transpose(2, 1, 0, 3).copy()
+    nib = np.empty((16, 2, nb, width))
+    nib[0] = terms[0]
+    np.negative(terms[0], out=nib[1])
     for k in range(1, 4):
         h = 1 << k
-        np.subtract(nib[:h], terms[:, k], out=nib[h : 2 * h])
-        nib[:h] += terms[:, k]
-    tab = np.empty((nb * d, 16, 16))  # [high, low] -> v = 16 high + low
-    tab[...] = nib[:, 1].T[:, :, None]
-    tab += nib[:, 0].T[:, None, :]
-    return tab.reshape(nb, d, 256)
+        np.subtract(nib[:h], terms[k], out=nib[h : 2 * h])
+        nib[:h] += terms[k]
+    nib = nib.transpose(1, 2, 0, 3).copy()  # [half, byte, nibble value, column]
+    # row v = 16 high + low: each high-nibble sum serves 16 consecutive rows
+    tab = np.repeat(nib[1], 16, axis=1)
+    tab.reshape(nb, 16, 16 * width)[...] += nib[0].reshape(nb, 1, 16 * width)
+    return tab
 
 
 def _signed_sums(signs, contribs):
-    """(w, d) signed column sums for a byte-major packed plan.
+    """(w, width) signed column sums for a byte-major packed plan.
 
+    Column c < d holds flip j's sum of ``g_ji * contribs[i, c]``, and the
+    columns past d are zero: width is d, except that d = 3 is padded to
+    4, because numpy's take copies rows of 1, 2 or 4 doubles with a
+    fixed-width loop and a 3-double row with a memmove.  Each plan byte
+    then costs one gather of whole table rows for all columns at once.
     The byte tables are built ``_BYTE_BLOCK`` plan bytes at a time, so
-    the tables and the per-step temporaries stay within
-    O(_BYTE_BLOCK * 256 * d) whatever n and w are, and the (d, w) output
-    is the only array that grows with w.  A block's entries are those of
+    the tables stay within O(_BYTE_BLOCK * 256 * width) and the gathered
+    rows within O(_CHUNK * width) whatever n and w are, and the output is
+    the only array that grows with w.  A block's entries are those of
     one whole table, since each depends only on the 8 rows of its byte.
     Each flip adds its bytes' entries in ascending byte order, block
     after block, one block of flips at a time, so the result is
-    bit-identical however the bytes and flips are partitioned.  The
-    result is the transposed view of a (d, w) array.
+    bit-identical however the bytes and flips are partitioned.
     """
     nb, w = signs.shape
-    out = np.empty((contribs.shape[1], w))
+    d = contribs.shape[1]
+    width = 4 if d == 3 else d
+    out = np.empty((w, width))
     for b0 in range(0, nb, _BYTE_BLOCK):
-        tab = _byte_tables(contribs[8 * b0 : 8 * (b0 + _BYTE_BLOCK)])
+        tab = _byte_tables(contribs[8 * b0 : 8 * (b0 + _BYTE_BLOCK)], width)
         for start in range(0, w, _CHUNK):
-            acc = out[:, start : start + _CHUNK]
+            acc = out[start : start + _CHUNK]
             rows = zip(tab, signs[b0 : b0 + _BYTE_BLOCK, start : start + _CHUNK])
             if b0 == 0:  # the plan's first byte starts every sum
                 table, idx = next(rows)
-                np.take(table, idx, axis=1, out=acc)
+                acc[...] = table.take(idx, axis=0)
             for table, idx in rows:
-                acc += table.take(idx, axis=1)
-    return out.T
+                acc += table.take(idx, axis=0)
+    return out
 
 
 def flip_statistics_scalar(contribs, plan):
@@ -163,13 +174,23 @@ def flip_statistics_quadratic(contribs, plan):
     contribs = np.asarray(contribs, dtype=float)
     if contribs.ndim == 1:
         contribs = contribs[:, None]
-    if contribs.shape[0] != plan.n:
+    if contribs.ndim != 2 or contribs.shape[1] == 0:
         raise DesignError(
-            f"contributions have {contribs.shape[0]} rows, plan has n={plan.n}"
+            f"contributions have shape {contribs.shape}; the quadratic form "
+            "needs an (n, d) array with d >= 1"
         )
+    n, d = contribs.shape
+    if n != plan.n:
+        raise DesignError(f"contributions have {n} rows, plan has n={plan.n}")
     s = _signed_sums(plan.signs, contribs)
     s /= math.sqrt(plan.n)
-    return np.einsum("wd,wd->w", s, s)
+    s *= s
+    # column by column, in column order: a pairwise sum over each row, as
+    # a reduction or an einsum may take, rounds differently
+    stat = s[:, 0] if d == 1 else s[:, 0] + s[:, 1]
+    for c in range(2, d):
+        stat += s[:, c]
+    return stat
 
 
 def _floor_multiple(alpha, w):

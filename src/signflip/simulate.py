@@ -183,13 +183,19 @@ def scenario_config(scenario, /, **overrides):
 
 @dataclass
 class RejectionCurve:
-    """Rejection rates per method over the alpha grid."""
+    """Rejection rates per method over the alpha grid.
+
+    ``failed_reps`` lists the repetitions excluded because their fit
+    failed numerically, and ``failures`` maps each of them to the message
+    of its ``NumericalError``.
+    """
 
     scenario: str
     alpha: np.ndarray
     rates: dict
     reps: int
     failed_reps: tuple = ()
+    failures: dict = field(default_factory=dict)
 
 
 def _mvn_rows(rng, n, corr):
@@ -324,8 +330,8 @@ def run_scenario(config):
 
     The curve is non-decreasing in alpha by construction (each method's
     rate at alpha is the fraction of stored p-values <= alpha).  Reps
-    whose fit fails numerically are excluded and listed in
-    ``failed_reps``.
+    whose fit fails numerically are excluded, listed in ``failed_reps``
+    and mapped to their error messages in ``failures``.
     """
     cfg = replace(config)
     cfg.validate()
@@ -335,17 +341,17 @@ def run_scenario(config):
         rep_fn, methods = _glm_rep, _GLM_METHODS
 
     pvals = {m: [] for m in methods}
-    failed = []
+    failures = {}
     for rep in range(cfg.reps):
         try:
             res = rep_fn(cfg, rep)
-        except NumericalError:
-            failed.append(rep)
+        except NumericalError as exc:
+            failures[rep] = str(exc)
             continue
         for m in methods:
             pvals[m].append(res[m])
 
-    done = cfg.reps - len(failed)
+    done = cfg.reps - len(failures)
     if done == 0:
         raise NumericalError("every repetition failed to fit")
     rates = {}
@@ -357,7 +363,8 @@ def run_scenario(config):
         alpha=cfg.alpha_grid.copy(),
         rates=rates,
         reps=done,
-        failed_reps=tuple(failed),
+        failed_reps=tuple(failures),
+        failures=failures,
     )
 
 

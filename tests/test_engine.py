@@ -349,14 +349,17 @@ def test_complementary_flips_give_exactly_negated_statistics(kind):
 @example(n=1, d=1, w=2, seed=0, mode="with-replacement")
 @example(n=9, d=4, w=33, seed=1, mode="without-replacement")
 @example(n=300, d=2, w=17, seed=2, mode="without-replacement")
+@example(n=70, d=3, w=40, seed=3, mode="with-replacement")
+@example(n=260, d=9, w=25, seed=4, mode="with-replacement")
 @given(
     n=st.integers(1, 300),
-    d=st.integers(1, 4),
+    d=st.integers(1, 9),
     w=st.integers(2, 40),
     seed=st.integers(0, 2**32),
     mode=st.sampled_from(["with-replacement", "without-replacement"]),
 )
 def test_lookup_kernel_matches_dense_product(n, d, w, seed, mode):
+    # rows of 1, 2 and 4 columns, 3 columns padded to 4, and wider rows
     import signflip.engine as engine
 
     w = min(w, 2**n)
@@ -365,8 +368,9 @@ def test_lookup_kernel_matches_dense_product(n, d, w, seed, mode):
     contribs = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=d)
     got = engine._signed_sums(plan.signs, contribs)
     want = plan.dense().astype(float) @ contribs
-    assert got.shape == (w, d)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(contribs).sum(axis=0))
+    assert got.shape == (w, 4 if d == 3 else d)
+    assert not got[:, d:].any()
+    assert np.all(np.abs(got[:, :d] - want) <= 1e-12 * np.abs(contribs).sum(axis=0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", 7)
         assert_array_equal(engine._signed_sums(plan.signs, contribs), got)
@@ -374,6 +378,47 @@ def test_lookup_kernel_matches_dense_product(n, d, w, seed, mode):
         for byte_block in (1, 2, 5):
             mp.setattr(engine, "_BYTE_BLOCK", byte_block)
             assert_array_equal(engine._signed_sums(plan.signs, contribs), got)
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=20, d=3, w=30, seed=0)
+@example(n=90, d=9, w=50, seed=1)
+@given(
+    n=st.integers(1, 120),
+    d=st.integers(1, 9),
+    w=st.integers(2, 60),
+    seed=st.integers(0, 2**32),
+)
+def test_quadratic_sums_squares_in_column_order(n, d, w, seed):
+    # T_j = s_j0^2 + s_j1^2 + ... accumulated left to right, bit for bit;
+    # a pairwise or blocked sum over the columns rounds differently
+    import signflip.engine as engine
+
+    plan = make_flip_plan(n, w, seed=seed)
+    contribs = np.random.default_rng(seed).normal(size=(n, d))
+    s = engine._signed_sums(plan.signs, contribs) / np.sqrt(n)
+    want = np.zeros(w)
+    for c in range(d):
+        want = want + s[:, c] * s[:, c]
+    assert_array_equal(flip_statistics_quadratic(contribs, plan), want)
+
+
+def test_quadratic_refuses_contributions_without_columns():
+    plan = make_flip_plan(5, 10)
+    with pytest.raises(DesignError, match=r"\(5, 0\)"):
+        flip_statistics_quadratic(np.zeros((5, 0)), plan)
+    with pytest.raises(DesignError, match=r"\(5, 2, 1\)"):
+        flip_statistics_quadratic(np.zeros((5, 2, 1)), plan)
+
+
+def _peak_of_second_call(call):
+    call()  # lazy imports and caches are not part of the call's memory
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_flip_test_peak_memory_is_the_plan_and_the_statistics():
@@ -384,18 +429,28 @@ def test_flip_test_peak_memory_is_the_plan_and_the_statistics():
     design = build_design({"wool": table["wool"], "tension": table["tension"]},
                           tested=["wool"], nuisance=["tension"], intercept=True)
     w = 200_000
-
-    def call():
-        return flip_test(table["breaks"], design, Poisson(), w=w, seed=4)
-    call()  # lazy imports and caches are not part of the call's memory
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak_of_second_call(
+        lambda: flip_test(table["breaks"], design, Poisson(), w=w, seed=4))
     plan_bytes = -(-design.n // 8) * w
     assert peak <= plan_bytes + 8 * w + 2**19
+
+
+def test_quadratic_flip_test_peak_memory_is_the_plan_and_the_padded_sums():
+    # three tested columns are summed in rows of four, the fourth zero: the
+    # (w, 4) signed sums are squared in place and the statistic T is the
+    # one other w-length array, so a padded copy of the sums would show
+    rng = np.random.default_rng(101)
+    n, w = 2000, 20_000
+    X = rng.normal(size=(n, 4))
+    y = rng.poisson(np.exp(0.3 + 0.2 * X[:, 3])).astype(float)
+    design = build_design({f"x{i}": X[:, i] for i in range(4)},
+                          tested=["x0", "x1", "x2"], nuisance=["x3"],
+                          intercept=True)
+    peak = _peak_of_second_call(
+        lambda: flip_test(y, design, Poisson(), w=w, seed=5,
+                          vhat="inv-effective-info"))
+    plan_bytes = -(-n // 8) * w
+    assert peak <= plan_bytes + 8 * w * 4 + 8 * w + 2**20
 
 
 def test_scalar_statistics_zero_contributions():

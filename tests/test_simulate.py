@@ -147,6 +147,7 @@ def test_curves_monotone_and_bounded():
         assert np.all(np.diff(rates) >= 0)
     assert curve.reps == 40
     assert curve.failed_reps == ()
+    assert curve.failures == {}
 
 
 def test_run_scenario_deterministic():
@@ -217,13 +218,15 @@ def test_failed_reps_are_counted_and_excluded(monkeypatch):
 
     def flaky_rep(cfg, rep):
         if rep in (2, 5):
-            raise NumericalError("synthetic fit failure")
+            raise NumericalError(f"synthetic fit failure at rep {rep}")
         return real_rep(cfg, rep)
 
     monkeypatch.setattr(sim, "_glm_rep", flaky_rep)
     cfg = scenario_config("overdispersed-nuisance", n=40, reps=10, w=50, seed=14)
     curve = run_scenario(cfg)
     assert curve.failed_reps == (2, 5)
+    assert curve.failures == {2: "synthetic fit failure at rep 2",
+                              5: "synthetic fit failure at rep 5"}
     assert curve.reps == 8  # rates are over completed reps only
 
 
