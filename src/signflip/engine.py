@@ -17,18 +17,17 @@ there are no ties.
 
 Signed sums read the bit-packed, byte-major plan through one 256-row
 lookup table per plan byte, whose row v holds the signed sums of all
-tested columns for byte value v, walking each byte row of the plan
-contiguously: each plan byte of a flip costs one copy of a whole table
-row, and no dense sign matrix is formed.  The tables are built in
-blocks of at most 32 plan bytes, so their memory does not grow with n;
-the (w, d) signed sums, with d = 3 padded to 4 columns, are the only
-array that grows with w, and they are scaled in place (and squared in
-place for a quadratic form) and counted without a copy.  A call with few
-tested columns therefore peaks at about the plan plus the statistics.  Each flip adds its bytes'
-entries in ascending byte order however the blocks fall, so the
-statistics are bit-identical to those of one whole table, and a
-complementary flip still gives exactly the negated sums.  A quadratic
-form adds its squared columns one at a time, in column order.
+tested columns for byte value v: each plan byte of a flip costs one
+copy of a whole table row, and no dense sign matrix is formed.  The
+tables are built in blocks of at most 32 plan bytes, so their memory
+does not grow with n.  A plan of one such block (n <= 256) is summed,
+scaled and counted 16384 flips at a time, so ``flip_test`` holds about
+the plan and one block; a longer plan is summed for all w flips at
+once, (w, 4) for d = 3, so that no table is built twice.  Each flip
+adds its bytes' entries in ascending byte order however the blocks
+fall, so the statistics are bit-identical to those of one whole table,
+a complementary flip still gives exactly the negated sums, and a
+quadratic form adds its squared columns in column order.
 
 Effective scores subtract the information-weighted projection of the
 nuisance contributions, which removes the first-order effect of
@@ -41,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DesignError
-from .flips import make_flip_plan
+from .flips import MODES, make_flip_plan
 from .glm import fit_null, score_contributions, whiten
 
 __all__ = [
@@ -114,37 +113,89 @@ def _byte_tables(contribs, width):
 
 
 def _signed_sums(signs, contribs):
-    """(w, width) signed column sums for a byte-major packed plan.
+    """Yield (m, width) signed column sums for consecutive blocks of m flips.
 
     Column c < d holds flip j's sum of ``g_ji * contribs[i, c]``, and the
     columns past d are zero: width is d, except that d = 3 is padded to
     4, because numpy's take copies rows of 1, 2 or 4 doubles with a
-    fixed-width loop and a 3-double row with a memmove.  Each plan byte
-    then costs one gather of whole table rows for all columns at once.
-    The byte tables are built ``_BYTE_BLOCK`` plan bytes at a time, so
-    the tables stay within O(_BYTE_BLOCK * 256 * width) and the gathered
-    rows within O(_CHUNK * width) whatever n and w are, and the output is
-    the only array that grows with w.  A block's entries are those of
-    one whole table, since each depends only on the 8 rows of its byte.
-    Each flip adds its bytes' entries in ascending byte order, block
-    after block, one block of flips at a time, so the result is
-    bit-identical however the bytes and flips are partitioned.
+    fixed-width loop and a 3-double row with a memmove; each plan byte
+    costs one gather of whole rows.  The byte tables are built
+    ``_BYTE_BLOCK`` plan bytes at a time, so they do not grow with n.  A
+    plan of one table block yields ``_CHUNK`` flips at a time, each block
+    overwriting the last, so nothing grows with w; a longer plan needs
+    every table block for each flip and yields all w flips at once, so
+    no table is built twice.  Each entry depends only on the 8 rows of
+    its byte, and each flip adds its bytes' entries in ascending byte
+    order, so the sums are bit-identical however they are partitioned.
     """
     nb, w = signs.shape
     d = contribs.shape[1]
     width = 4 if d == 3 else d
-    out = np.empty((w, width))
+    whole = nb > _BYTE_BLOCK
     for b0 in range(0, nb, _BYTE_BLOCK):
         tab = _byte_tables(contribs[8 * b0 : 8 * (b0 + _BYTE_BLOCK)], width)
+        if b0 == 0:  # allocated after, not on top of, the first table build
+            out = np.empty((w if whole else min(w, _CHUNK), width))
         for start in range(0, w, _CHUNK):
-            acc = out[start : start + _CHUNK]
-            rows = zip(tab, signs[b0 : b0 + _BYTE_BLOCK, start : start + _CHUNK])
-            if b0 == 0:  # the plan's first byte starts every sum
-                table, idx = next(rows)
-                acc[...] = table.take(idx, axis=0)
-            for table, idx in rows:
-                acc += table.take(idx, axis=0)
-    return out
+            block = signs[b0 : b0 + _BYTE_BLOCK, start : start + _CHUNK]
+            acc = out[start : start + _CHUNK] if whole else out[: block.shape[1]]
+            # mode="wrap" (a no-op here) writes out= in place; "raise" copies it
+            buf = np.empty_like(acc)
+            for k, idx in enumerate(block):
+                if b0 == k == 0:  # the plan's first byte starts every sum
+                    tab[k].take(idx, axis=0, out=acc, mode="wrap")
+                else:
+                    tab[k].take(idx, axis=0, out=buf, mode="wrap")
+                    acc += buf
+            del buf  # freed before the next table block is built
+            if not whole:
+                yield acc
+    if whole:
+        yield out
+
+
+def _statistics(contribs, plan, quadratic):
+    """The scalar or quadratic statistics of each block of flips."""
+    contribs = np.asarray(contribs, dtype=float)
+    if not np.isfinite(contribs).all():
+        raise DesignError(f"contributions of shape {contribs.shape} hold NaN or inf")
+    if contribs.ndim == 1 or not quadratic:
+        contribs = contribs.reshape(-1, 1)
+    if contribs.ndim != 2 or contribs.shape[1] == 0:
+        raise DesignError(
+            f"contributions have shape {contribs.shape}; the quadratic form "
+            "needs an (n, d) array with d >= 1"
+        )
+    n, d = contribs.shape
+    if n != plan.n:
+        raise DesignError(f"contributions have {n} rows, plan has n={plan.n}")
+    root_n = math.sqrt(n)
+
+    def statistic(s):
+        s /= root_n
+        if not quadratic:
+            return s[:, 0]
+        s *= s
+        # in column order: a pairwise sum (a reduction) rounds differently
+        stat = s[:, 0] + s[:, 1] if d > 1 else s[:, 0]
+        for c in range(2, d):
+            stat += s[:, c]
+        return stat
+
+    return map(statistic, _signed_sums(plan.signs, contribs))
+
+
+def _collect(blocks, w):
+    """The (w,) statistics from their consecutive blocks, T_1 first."""
+    first = next(blocks)
+    if first.shape[0] == w:
+        return first
+    values, start = np.empty(w), first.shape[0]
+    values[:start] = first
+    for t in blocks:
+        values[start : start + t.shape[0]] = t
+        start += t.shape[0]
+    return values
 
 
 def flip_statistics_scalar(contribs, plan):
@@ -153,14 +204,7 @@ def flip_statistics_scalar(contribs, plan):
     g_j is the +-1 sign vector of flip j, row j of ``plan.dense()``.
     Returns the (w,) array; entry 0 is the observed statistic.
     """
-    contribs = np.asarray(contribs, dtype=float).reshape(-1)
-    if contribs.shape[0] != plan.n:
-        raise DesignError(
-            f"contributions have length {contribs.shape[0]}, plan has n={plan.n}"
-        )
-    values = _signed_sums(plan.signs, contribs[:, None])[:, 0]
-    values /= math.sqrt(plan.n)
-    return values
+    return _collect(_statistics(contribs, plan, quadratic=False), plan.w)
 
 
 def flip_statistics_quadratic(contribs, plan):
@@ -171,26 +215,7 @@ def flip_statistics_quadratic(contribs, plan):
     gives such contributions for V = A^-1.  Returns the (w,) array;
     entry 0 is the observed statistic.
     """
-    contribs = np.asarray(contribs, dtype=float)
-    if contribs.ndim == 1:
-        contribs = contribs[:, None]
-    if contribs.ndim != 2 or contribs.shape[1] == 0:
-        raise DesignError(
-            f"contributions have shape {contribs.shape}; the quadratic form "
-            "needs an (n, d) array with d >= 1"
-        )
-    n, d = contribs.shape
-    if n != plan.n:
-        raise DesignError(f"contributions have {n} rows, plan has n={plan.n}")
-    s = _signed_sums(plan.signs, contribs)
-    s /= math.sqrt(plan.n)
-    s *= s
-    # column by column, in column order: a pairwise sum over each row, as
-    # a reduction or an einsum may take, rounds differently
-    stat = s[:, 0] if d == 1 else s[:, 0] + s[:, 1]
-    for c in range(2, d):
-        stat += s[:, c]
-    return stat
+    return _collect(_statistics(contribs, plan, quadratic=True), plan.w)
 
 
 def _floor_multiple(alpha, w):
@@ -198,16 +223,16 @@ def _floor_multiple(alpha, w):
     return int(math.floor(alpha * w + 1e-9))
 
 
-def _count(vals, alternative):
-    """Number of flips at least as extreme as T_1, T_1 included."""
+def _count(vals, t1, alternative):
+    """Number of flips in ``vals`` at least as extreme as T_1 = t1."""
     if alternative == "greater":
-        return int(np.count_nonzero(vals >= vals[0]))
+        return int(np.count_nonzero(vals >= t1))
     if alternative == "less":
-        return int(np.count_nonzero(vals <= vals[0]))
+        return int(np.count_nonzero(vals <= t1))
     if alternative == "two-sided-abs":
         # |T_j| >= a as T_j >= a or T_j <= -a, with no |T| copy; at a == 0
         # both sides hold a zero, so the lower side then counts T_j < 0
-        a = abs(vals[0])
+        a = abs(t1)
         below = vals < -a if a == 0 else vals <= -a
         return int(np.count_nonzero(vals >= a)) + int(np.count_nonzero(below))
     raise DesignError(
@@ -221,7 +246,17 @@ def p_value(values, alternative):
     greater counts T_j >= T_1; less counts T_j <= T_1; two-sided-abs
     counts |T_j| >= |T_1|.
     """
-    return _count(values, alternative) / values.shape[0]
+    return _count(values, values[0], alternative) / values.shape[0]
+
+
+def _check_rule(alpha, alternative):
+    """Refuse an alpha outside (0, 1) or an unknown alternative."""
+    if not 0.0 < alpha < 1.0:
+        raise DesignError("alpha must be in (0, 1)")
+    if alternative not in ALTERNATIVES:
+        raise DesignError(
+            f"unknown alternative {alternative!r}; choose from {ALTERNATIVES}"
+        )
 
 
 def decide(values, alpha, alternative, alpha1=None, alpha2=None,
@@ -240,50 +275,44 @@ def decide(values, alpha, alternative, alpha1=None, alpha2=None,
     at most m have T_j <= T_1, ties included; the rules are applied as
     these counts, so nothing is sorted.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DesignError("alpha must be in (0, 1)")
-    w = values.shape[0]
-    t1 = float(values[0])
+    return _decide([values], alpha, alternative, alpha1, alpha2, method)
 
-    if alternative in ("greater", "less"):
-        count = _count(values, alternative)
-        reject = count <= _floor_multiple(alpha, w)
-        p = count / w
-    elif alternative == "two-sided-abs":
-        p = p_value(values, "two-sided-abs")
-        reject = p <= alpha
-    elif alternative == "two-sided-tails":
+
+def _decide(blocks, alpha, alternative, alpha1, alpha2, method):
+    """``decide`` on consecutive blocks of the statistics, each counted once."""
+    _check_rule(alpha, alternative)
+    sides = ("less", "greater") if alternative == "two-sided-tails" else (alternative,)
+    counts, w = dict.fromkeys(sides, 0), 0
+    for vals in blocks:
+        if w == 0:
+            t1 = float(vals[0])
+        w += vals.shape[0]
+        for side in sides:
+            counts[side] += _count(vals, t1, side)
+
+    if alternative == "two-sided-tails":
         if (alpha1 is None) != (alpha2 is None):
             raise DesignError(
                 "two-sided-tails needs both alpha1 and alpha2, or neither"
             )
         if alpha1 is None:
-            half = _floor_multiple(alpha / 2.0, w)
-            alpha1 = alpha2 = half / w
-        m1 = alpha1 * w
-        m2 = alpha2 * w
+            alpha1 = alpha2 = _floor_multiple(alpha / 2.0, w) / w
+        m1, m2 = alpha1 * w, alpha2 * w
         if abs(m1 - round(m1)) > 1e-9 or abs(m2 - round(m2)) > 1e-9:
             raise DesignError(
                 "two-sided-tails needs alpha1 and alpha2 to be multiples of 1/w"
             )
-        below = _count(values, "less")
-        above = _count(values, "greater")
+        below, above = counts["less"], counts["greater"]
         reject = below <= round(m1) or above <= round(m2)
         # reported p combines both tail counts (not part of the decision rule)
         p = min(1.0, below / w + above / w)
     else:
-        raise DesignError(
-            f"unknown alternative {alternative!r}; choose from {ALTERNATIVES}"
-        )
+        p = counts[alternative] / w
+        reject = (p <= alpha if alternative == "two-sided-abs"
+                  else counts[alternative] <= _floor_multiple(alpha, w))
 
-    return TestResult(
-        statistic=t1,
-        p_value=float(p),
-        reject=bool(reject),
-        alpha=float(alpha),
-        alternative=alternative,
-        method=method,
-    )
+    return TestResult(statistic=t1, p_value=float(p), reject=bool(reject),
+                      alpha=float(alpha), alternative=alternative, method=method)
 
 
 def flip_test(y, design, family, method="effective", alternative="two-sided-abs",
@@ -292,35 +321,25 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     """Sign-flip score test of H0: beta = null_value.
 
     Fits the null model, forms per-observation score contributions
-    (projected to effective scores unless ``method="basic"``), flips
-    them w times and applies the decision rule.  A single tested column
-    uses the scalar statistic; d > 1 uses the quadratic form with
-    ``vhat`` either ``"identity"`` or ``"inv-effective-info"``, the
-    latter by whitening the contributions with the effective
-    information I* so that T_j = s_j' I*^-1 s_j.
+    (projected to effective scores unless ``method="basic"``), flips them
+    w times and applies the decision rule, counting each block of flips
+    as it is summed.  A single tested column uses the scalar statistic;
+    d > 1 uses the quadratic form with ``vhat`` either ``"identity"`` or
+    ``"inv-effective-info"``, the latter by whitening the contributions
+    with the effective information I* so that T_j = s_j' I*^-1 s_j.
     """
-    if method not in ("basic", "effective"):
-        raise DesignError(f"method must be 'basic' or 'effective', got {method!r}")
-    if vhat not in ("identity", "inv-effective-info"):
-        raise DesignError(
-            f"vhat must be 'identity' or 'inv-effective-info', got {vhat!r}"
-        )
+    for name, value, allowed in (("method", method, ("basic", "effective")),
+                                 ("vhat", vhat, ("identity", "inv-effective-info")),
+                                 ("mode", mode, MODES)):
+        if value not in allowed:
+            raise DesignError(f"{name} must be one of {allowed}, got {value!r}")
+    _check_rule(alpha, alternative)
     null_fit = fit_null(y, design, family)
     scores = score_contributions(y, null_fit, design, family)
-
-    if method == "effective":
-        contribs = effective_contributions(scores)
-    else:
-        contribs = scores.nu
-
-    if design.d == 1:
-        kernel, contribs = flip_statistics_scalar, contribs[:, 0]
-    else:
-        kernel = flip_statistics_quadratic
-        if vhat == "inv-effective-info":
-            contribs = whiten(scores.effective_information(), contribs)
-    # no name holds the plan, so it is freed before decide runs
-    stats = kernel(contribs, make_flip_plan(design.n, w, mode=mode, seed=seed))
-
-    result = decide(stats, alpha, alternative, method=f"flip-{method}")
+    contribs = effective_contributions(scores) if method == "effective" else scores.nu
+    if design.d > 1 and vhat == "inv-effective-info":
+        contribs = whiten(scores.effective_information(), contribs)
+    plan = make_flip_plan(design.n, w, mode=mode, seed=seed)
+    stats = _statistics(contribs, plan, quadratic=design.d > 1)
+    result = _decide(stats, alpha, alternative, None, None, f"flip-{method}")
     return replace(result, w=w, seed=int(seed))

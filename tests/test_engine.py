@@ -345,6 +345,13 @@ def test_complementary_flips_give_exactly_negated_statistics(kind):
         assert_array_equal(values, values[::-1])
 
 
+def _all_sums(signs, contribs):
+    """The signed sums of every flip, copied from each block as it comes."""
+    import signflip.engine as engine
+
+    return np.concatenate([b.copy() for b in engine._signed_sums(signs, contribs)])
+
+
 @settings(max_examples=60, deadline=None)
 @example(n=1, d=1, w=2, seed=0, mode="with-replacement")
 @example(n=9, d=4, w=33, seed=1, mode="without-replacement")
@@ -366,18 +373,22 @@ def test_lookup_kernel_matches_dense_product(n, d, w, seed, mode):
     plan = make_flip_plan(n, w, mode=mode, seed=seed)
     rng = np.random.default_rng(seed)
     contribs = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=d)
-    got = engine._signed_sums(plan.signs, contribs)
+    got = _all_sums(plan.signs, contribs)
     want = plan.dense().astype(float) @ contribs
     assert got.shape == (w, 4 if d == 3 else d)
     assert not got[:, d:].any()
     assert np.all(np.abs(got[:, :d] - want) <= 1e-12 * np.abs(contribs).sum(axis=0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", 7)
-        assert_array_equal(engine._signed_sums(plan.signs, contribs), got)
+        # a plan of one table block (n <= 256) is yielded 7 flips at a time,
+        # a longer one as a single block of all w flips
+        sizes = [len(b) for b in engine._signed_sums(plan.signs, contribs)]
+        assert sizes == ([w] if n > 256 else [min(7, w - s) for s in range(0, w, 7)])
+        assert_array_equal(_all_sums(plan.signs, contribs), got)
         # byte-table blocks of any size give the same sums bit for bit
         for byte_block in (1, 2, 5):
             mp.setattr(engine, "_BYTE_BLOCK", byte_block)
-            assert_array_equal(engine._signed_sums(plan.signs, contribs), got)
+            assert_array_equal(_all_sums(plan.signs, contribs), got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -392,11 +403,9 @@ def test_lookup_kernel_matches_dense_product(n, d, w, seed, mode):
 def test_quadratic_sums_squares_in_column_order(n, d, w, seed):
     # T_j = s_j0^2 + s_j1^2 + ... accumulated left to right, bit for bit;
     # a pairwise or blocked sum over the columns rounds differently
-    import signflip.engine as engine
-
     plan = make_flip_plan(n, w, seed=seed)
     contribs = np.random.default_rng(seed).normal(size=(n, d))
-    s = engine._signed_sums(plan.signs, contribs) / np.sqrt(n)
+    s = _all_sums(plan.signs, contribs) / np.sqrt(n)
     want = np.zeros(w)
     for c in range(d):
         want = want + s[:, c] * s[:, c]
@@ -411,6 +420,26 @@ def test_quadratic_refuses_contributions_without_columns():
         flip_statistics_quadratic(np.zeros((5, 2, 1)), plan)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernels_refuse_non_finite_contributions(monkeypatch, bad):
+    # a NaN statistic would count as no flip at all, so p = 0 < 1/w; an
+    # infinity turns into NaN table entries (inf - inf); both are refused
+    # before any table is built
+    import signflip.engine as engine
+
+    def no_tables(*args):
+        raise AssertionError("a byte table was built")
+
+    monkeypatch.setattr(engine, "_byte_tables", no_tables)
+    plan = make_flip_plan(5, 16, seed=1)
+    with pytest.raises(DesignError, match=r"shape \(5,\) hold NaN or inf"):
+        flip_statistics_scalar(np.array([bad, 1.0, 2.0, 3.0, 4.0]), plan)
+    contribs = np.ones((5, 2))
+    contribs[3, 1] = bad
+    with pytest.raises(DesignError, match=r"shape \(5, 2\) hold NaN or inf"):
+        flip_statistics_quadratic(contribs, plan)
+
+
 def _peak_of_second_call(call):
     call()  # lazy imports and caches are not part of the call's memory
     tracemalloc.start()
@@ -421,18 +450,41 @@ def _peak_of_second_call(call):
         tracemalloc.stop()
 
 
+def _peak_above_the_plan(y, design, **kwargs):
+    """flip_test's peak memory above its plan, at w = 2e5 and at 8e5."""
+    peaks = []
+    for w in (200_000, 800_000):
+        peak = _peak_of_second_call(
+            lambda: flip_test(y, design, Poisson(), w=w, seed=4, **kwargs))
+        peaks.append(peak - -(-design.n // 8) * w)
+    return peaks
+
+
 def test_flip_test_peak_memory_is_the_plan_and_the_statistics():
-    # the statistics are the only w-length float array: they are scaled in
-    # place and counted without an |T| copy, and the plan is freed before
-    # decide runs; a second statistics array would add 8w bytes
+    # at n <= 256 each block of flips is summed, scaled and counted before
+    # the next is summed, so nothing but the plan grows with w; holding
+    # the (w,) statistics would add 8w bytes, 4.8 MB between the two w
     table = warpbreaks()
     design = build_design({"wool": table["wool"], "tension": table["tension"]},
                           tested=["wool"], nuisance=["tension"], intercept=True)
-    w = 200_000
-    peak = _peak_of_second_call(
-        lambda: flip_test(table["breaks"], design, Poisson(), w=w, seed=4))
-    plan_bytes = -(-design.n // 8) * w
-    assert peak <= plan_bytes + 8 * w + 2**19
+    small, large = _peak_above_the_plan(table["breaks"], design)
+    assert abs(large - small) <= 2**16
+    assert large <= 2**20
+
+
+def test_quadratic_flip_test_peak_memory_at_n_50_does_not_grow_with_w():
+    # the multivariate scenario's shape: five tested columns, identity
+    # weights; one (block, 5) array of sums replaces the (w, 5) one
+    rng = np.random.default_rng(103)
+    n = 50
+    X = rng.normal(size=(n, 6))
+    y = rng.poisson(np.exp(0.3 + 0.2 * X[:, 5])).astype(float)
+    design = build_design({f"x{i}": X[:, i] for i in range(6)},
+                          tested=[f"x{i}" for i in range(5)], nuisance=["x5"],
+                          intercept=True)
+    small, large = _peak_above_the_plan(y, design, vhat="identity")
+    assert abs(large - small) <= 2**16
+    assert large <= 2**21
 
 
 def test_quadratic_flip_test_peak_memory_is_the_plan_and_the_padded_sums():
@@ -725,6 +777,66 @@ def test_flip_test_provenance_and_validation():
     for des in (design, design2):
         with pytest.raises(DesignError, match="vhat"):
             flip_test(y, des, Gaussian(), vhat="bogus", w=16)
+
+
+def test_flip_test_checks_its_rule_before_the_fit_and_the_plan(monkeypatch):
+    # a bad alpha, alternative or mode is refused before 10^8 flips are drawn
+    import signflip.engine as engine
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the fit or the plan ran")
+
+    monkeypatch.setattr(engine, "fit_null", unreachable)
+    monkeypatch.setattr(engine, "make_flip_plan", unreachable)
+    rng = np.random.default_rng(139)
+    design = build_design({"x": rng.normal(size=20)}, tested=["x"], intercept=True)
+    y = rng.normal(size=20)
+    for bad in (dict(alpha=0.0), dict(alpha=1.5), dict(alternative="bogus"),
+                dict(mode="bogus")):
+        with pytest.raises(DesignError, match="alpha|alternative|mode"):
+            flip_test(y, design, Gaussian(), w=10**8, **bad)
+
+
+@settings(max_examples=80, deadline=None)
+@example(n=300, d=1, w=40, seed=0, alternative="two-sided-abs", alpha=0.3,
+         mode="with-replacement", balanced=True)
+@example(n=8, d=5, w=60, seed=1, alternative="two-sided-tails", alpha=0.5,
+         mode="without-replacement", balanced=False)
+@given(
+    n=st.sampled_from([8, 20, 54, 256, 257, 300]) | st.integers(8, 300),
+    d=st.sampled_from([1, 2, 3, 5]),
+    w=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    alternative=st.sampled_from(["greater", "less", "two-sided-abs",
+                                 "two-sided-tails"]),
+    alpha=st.floats(0.01, 0.99),
+    mode=st.sampled_from(["with-replacement", "without-replacement"]),
+    balanced=st.booleans(),
+)
+def test_flip_test_counts_blocks_as_decide_counts_the_statistics(
+        n, d, w, seed, alternative, alpha, mode, balanced):
+    # flip_test counts each block of 7 flips against T_1 as it is summed;
+    # decide counts all w statistics at once.  Integer contributions tie
+    # flips with T_1, and balanced columns make T_1 = 0.
+    import signflip.engine as engine
+
+    rng = np.random.default_rng(seed)
+    contribs = rng.integers(-2, 3, size=(n, d)).astype(float)
+    if balanced:
+        contribs[-1] -= contribs.sum(axis=0)
+    design = build_design({f"x{i}": rng.normal(size=n) for i in range(d)},
+                          tested=[f"x{i}" for i in range(d)], intercept=True)
+    y = rng.normal(size=n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_CHUNK", 7)
+        mp.setattr(engine, "effective_contributions", lambda scores: contribs)
+        got = flip_test(y, design, Gaussian(), alternative=alternative,
+                        alpha=alpha, w=w, mode=mode, seed=seed)
+        plan = make_flip_plan(n, w, mode=mode, seed=seed)
+        stats = (flip_statistics_scalar(contribs[:, 0], plan) if d == 1
+                 else flip_statistics_quadratic(contribs, plan))
+    want = decide(stats, alpha, alternative, method="flip-effective")
+    assert got == replace(want, w=w, seed=seed)
 
 
 def test_flip_test_multivariate_paths():
