@@ -19,14 +19,14 @@ Signed sums read the bit-packed, byte-major plan through one 256-row
 lookup table per plan byte, whose row v holds the signed sums of all
 tested columns for byte value v: each plan byte of a flip costs one
 copy of a whole table row, and no dense sign matrix is formed.  The
-tables are built in blocks of at most 32 plan bytes, so their memory
-does not grow with n.  A plan of one such block (n <= 256) is summed,
-scaled and counted 16384 flips at a time, so ``flip_test`` holds about
-the plan and one block; a longer plan is summed for all w flips at
-once, (w, 4) for d = 3, so that no table is built twice.  Each flip
-adds its bytes' entries in ascending byte order however the blocks
-fall, so the statistics are bit-identical to those of one whole table,
-a complementary flip still gives exactly the negated sums, and a
+tables are built in blocks of at most 32 plan bytes, and the flips are
+summed, scaled and counted 16384 at a time, so ``flip_test`` holds
+about the plan and one block of flips whatever n and w are; a plan of
+one table block (n <= 256) builds it once, a longer one builds each
+table block again for each block of flips.  Each flip adds its bytes'
+entries in ascending byte order however the blocks fall, so the
+statistics are bit-identical to those of one whole table, a
+complementary flip still gives exactly the negated sums, and a
 quadratic form adds its squared columns in column order.
 
 Effective scores subtract the information-weighted projection of the
@@ -119,39 +119,31 @@ def _signed_sums(signs, contribs):
     columns past d are zero: width is d, except that d = 3 is padded to
     4, because numpy's take copies rows of 1, 2 or 4 doubles with a
     fixed-width loop and a 3-double row with a memmove; each plan byte
-    costs one gather of whole rows.  The byte tables are built
-    ``_BYTE_BLOCK`` plan bytes at a time, so they do not grow with n.  A
-    plan of one table block yields ``_CHUNK`` flips at a time, each block
-    overwriting the last, so nothing grows with w; a longer plan needs
-    every table block for each flip and yields all w flips at once, so
-    no table is built twice.  Each entry depends only on the 8 rows of
-    its byte, and each flip adds its bytes' entries in ascending byte
-    order, so the sums are bit-identical however they are partitioned.
+    costs one gather of whole rows.  Each block of ``_CHUNK`` flips
+    overwrites the last, so nothing grows with w, and it reads the byte
+    tables ``_BYTE_BLOCK`` plan bytes at a time, so they do not grow with
+    n: a plan of one table block (n <= 256) builds it once, a longer plan
+    builds every table block again for each block of flips.  Each entry
+    depends only on the 8 rows of its byte, and each flip adds its bytes'
+    entries in ascending byte order, so the sums are bit-identical
+    however they are partitioned.
     """
     nb, w = signs.shape
     d = contribs.shape[1]
     width = 4 if d == 3 else d
-    whole = nb > _BYTE_BLOCK
-    for b0 in range(0, nb, _BYTE_BLOCK):
-        tab = _byte_tables(contribs[8 * b0 : 8 * (b0 + _BYTE_BLOCK)], width)
-        if b0 == 0:  # allocated after, not on top of, the first table build
-            out = np.empty((w if whole else min(w, _CHUNK), width))
-        for start in range(0, w, _CHUNK):
-            block = signs[b0 : b0 + _BYTE_BLOCK, start : start + _CHUNK]
-            acc = out[start : start + _CHUNK] if whole else out[: block.shape[1]]
-            # mode="wrap" (a no-op here) writes out= in place; "raise" copies it
-            buf = np.empty_like(acc)
-            for k, idx in enumerate(block):
+    tab = _byte_tables(contribs[: 8 * _BYTE_BLOCK], width)
+    out = np.empty((min(w, _CHUNK), width))  # not on top of the table build
+    for start in range(0, w, _CHUNK):
+        acc = out[: min(_CHUNK, w - start)]
+        for b0 in range(0, nb, _BYTE_BLOCK):
+            if nb > _BYTE_BLOCK and (start or b0):
+                tab = _byte_tables(contribs[8 * b0 : 8 * (b0 + _BYTE_BLOCK)], width)
+            for k, idx in enumerate(signs[b0 : b0 + _BYTE_BLOCK, start : start + _CHUNK]):
                 if b0 == k == 0:  # the plan's first byte starts every sum
-                    tab[k].take(idx, axis=0, out=acc, mode="wrap")
+                    acc[...] = tab[0].take(idx, axis=0)
                 else:
-                    tab[k].take(idx, axis=0, out=buf, mode="wrap")
-                    acc += buf
-            del buf  # freed before the next table block is built
-            if not whole:
-                yield acc
-    if whole:
-        yield out
+                    acc += tab[k].take(idx, axis=0)
+        yield acc
 
 
 def _statistics(contribs, plan, quadratic):
@@ -289,6 +281,7 @@ def _decide(blocks, alpha, alternative, alpha1, alpha2, method):
         w += vals.shape[0]
         for side in sides:
             counts[side] += _count(vals, t1, side)
+        del vals  # freed before the next block is summed
 
     if alternative == "two-sided-tails":
         if (alpha1 is None) != (alpha2 is None):

@@ -380,10 +380,9 @@ def test_lookup_kernel_matches_dense_product(n, d, w, seed, mode):
     assert np.all(np.abs(got[:, :d] - want) <= 1e-12 * np.abs(contribs).sum(axis=0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", 7)
-        # a plan of one table block (n <= 256) is yielded 7 flips at a time,
-        # a longer one as a single block of all w flips
+        # every plan is yielded 7 flips at a time, however long it is
         sizes = [len(b) for b in engine._signed_sums(plan.signs, contribs)]
-        assert sizes == ([w] if n > 256 else [min(7, w - s) for s in range(0, w, 7)])
+        assert sizes == [min(7, w - s) for s in range(0, w, 7)]
         assert_array_equal(_all_sums(plan.signs, contribs), got)
         # byte-table blocks of any size give the same sums bit for bit
         for byte_block in (1, 2, 5):
@@ -450,10 +449,10 @@ def _peak_of_second_call(call):
         tracemalloc.stop()
 
 
-def _peak_above_the_plan(y, design, **kwargs):
-    """flip_test's peak memory above its plan, at w = 2e5 and at 8e5."""
+def _peak_above_the_plan(y, design, ws=(200_000, 800_000), **kwargs):
+    """flip_test's peak memory above its plan, at each w in ``ws``."""
     peaks = []
-    for w in (200_000, 800_000):
+    for w in ws:
         peak = _peak_of_second_call(
             lambda: flip_test(y, design, Poisson(), w=w, seed=4, **kwargs))
         peaks.append(peak - -(-design.n // 8) * w)
@@ -488,21 +487,24 @@ def test_quadratic_flip_test_peak_memory_at_n_50_does_not_grow_with_w():
 
 
 def test_quadratic_flip_test_peak_memory_is_the_plan_and_the_padded_sums():
-    # three tested columns are summed in rows of four, the fourth zero: the
-    # (w, 4) signed sums are squared in place and the statistic T is the
-    # one other w-length array, so a padded copy of the sums would show
+    # n = 2000 is eight blocks of byte tables, built again for each block
+    # of flips: three tested columns are summed in rows of four, and the
+    # (block, 4) sums and the (block,) statistic are all that sits on top
+    # of the plan, whatever w is; holding all w statistics would add 8w
+    # bytes, 480 KB between the two w
+    import signflip.engine as engine
+
     rng = np.random.default_rng(101)
-    n, w = 2000, 20_000
+    n = 2000
     X = rng.normal(size=(n, 4))
     y = rng.poisson(np.exp(0.3 + 0.2 * X[:, 3])).astype(float)
     design = build_design({f"x{i}": X[:, i] for i in range(4)},
                           tested=["x0", "x1", "x2"], nuisance=["x3"],
                           intercept=True)
-    peak = _peak_of_second_call(
-        lambda: flip_test(y, design, Poisson(), w=w, seed=5,
-                          vhat="inv-effective-info"))
-    plan_bytes = -(-n // 8) * w
-    assert peak <= plan_bytes + 8 * w * 4 + 8 * w + 2**20
+    small, large = _peak_above_the_plan(y, design, ws=(20_000, 80_000),
+                                        vhat="inv-effective-info")
+    assert abs(large - small) <= 2**16
+    assert large <= 8 * engine._CHUNK * 4 + 8 * engine._CHUNK + 2**20
 
 
 def test_scalar_statistics_zero_contributions():
