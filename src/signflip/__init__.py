@@ -43,7 +43,6 @@ from .glm import (
     fit_full,
     fit_null,
     information_blocks,
-    log_likelihood,
     score_contributions,
 )
 from .simulate import (
@@ -93,7 +92,6 @@ __all__ = [
     "gen_negbin_response",
     "information_blocks",
     "keyed_rng",
-    "log_likelihood",
     "make_flip_plan",
     "one_sample_t",
     "p_value",

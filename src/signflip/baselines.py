@@ -12,7 +12,7 @@ for bit without importing scipy's statistics package.
 import numpy as np
 from scipy.special import chdtrc, ndtr, stdtr
 
-from .engine import TestResult
+from .engine import TestResult, _check_alpha
 from .exceptions import DesignError, NumericalError
 from .glm import (
     fit_full,
@@ -33,9 +33,10 @@ __all__ = [
 _TWO_SIDED = ("two-sided", "two-sided-abs")
 
 
-def _check_alpha(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise DesignError("alpha must be in (0, 1)")
+def _result(statistic, p, alpha, alternative, method):
+    """TestResult that rejects when p <= alpha."""
+    return TestResult(statistic=statistic, p_value=p, reject=bool(p <= alpha),
+                      alpha=float(alpha), alternative=alternative, method=method)
 
 
 def _tail_p(stat, alternative, cdf):
@@ -68,14 +69,7 @@ def _normal_or_chi2(u, cov, alternative, alpha, method):
         statistic = float(u @ solve_spd(cov, u))
         # chi2.sf is 1 below 0, where chdtrc gives NaN
         p = float(chdtrc(d, max(statistic, 0.0)))
-    return TestResult(
-        statistic=statistic,
-        p_value=p,
-        reject=bool(p <= alpha),
-        alpha=float(alpha),
-        alternative=alternative,
-        method=method,
-    )
+    return _result(statistic, p, alpha, alternative, method)
 
 
 def sandwich_estimate(y, full_fit, design, family):
@@ -148,7 +142,8 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05):
         raise DesignError("quasi dispersion needs n > k")
     full_fit = fit_full(y, design, family)
     y = np.asarray(y, dtype=float)
-    pearson = float(np.sum((y - full_fit.mu_hat) ** 2 / family.variance(full_fit.mu_hat)))
+    # the canonical-link IRLS weight is the variance function V(mu_hat)
+    pearson = float(np.sum((y - full_fit.mu_hat) ** 2 / full_fit.W_hat))
     dispersion = pearson / (design.n - design.k)
     if not dispersion > 0:
         raise NumericalError("quasi dispersion estimate is not positive")
@@ -162,14 +157,7 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05):
     t = float(full_fit.coef[j] - design.null_value[0]) / se
     df = design.n - design.k
     p = _tail_p(t, alternative, lambda x: stdtr(df, x))
-    return TestResult(
-        statistic=t,
-        p_value=p,
-        reject=bool(p <= alpha),
-        alpha=float(alpha),
-        alternative=alternative,
-        method="quasi-poisson",
-    )
+    return _result(t, p, alpha, alternative, "quasi-poisson")
 
 
 def one_sample_t(y, mu0=0.0, alternative="two-sided", alpha=0.05):
@@ -186,11 +174,4 @@ def one_sample_t(y, mu0=0.0, alternative="two-sided", alpha=0.05):
         raise NumericalError("zero sample variance")
     t = float(np.sqrt(n) * (np.mean(y) - mu0) / s)
     p = _tail_p(t, alternative, lambda x: stdtr(n - 1, x))
-    return TestResult(
-        statistic=t,
-        p_value=p,
-        reject=bool(p <= alpha),
-        alpha=float(alpha),
-        alternative=alternative,
-        method="t-test",
-    )
+    return _result(t, p, alpha, alternative, "t-test")

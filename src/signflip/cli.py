@@ -19,6 +19,7 @@ from .design import build_design, read_csv
 from .engine import flip_test
 from .exceptions import DesignError, NumericalError
 from .families import family_from_name
+from .flips import MODES
 from .simulate import read_config_file, run_scenario, scenario_config, write_curve_csv
 
 _FLIP_METHODS = ("basic", "effective")
@@ -224,9 +225,7 @@ def build_parser():
                             "two-sided-tails"))
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--w", type=int, default=5000, help="number of flips")
-    p.add_argument("--mode", default="with-replacement",
-                   choices=("with-replacement", "without-replacement",
-                            "exhaustive"))
+    p.add_argument("--mode", default="with-replacement", choices=MODES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--null-value", default="",
                    help="comma-separated hypothesized tested coefficients")

@@ -241,10 +241,15 @@ def p_value(values, alternative):
     return _count(values, values[0], alternative) / values.shape[0]
 
 
-def _check_rule(alpha, alternative):
-    """Refuse an alpha outside (0, 1) or an unknown alternative."""
+def _check_alpha(alpha):
+    """Refuse an alpha outside (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise DesignError("alpha must be in (0, 1)")
+
+
+def _check_rule(alpha, alternative):
+    """Refuse an alpha outside (0, 1) or an unknown alternative."""
+    _check_alpha(alpha)
     if alternative not in ALTERNATIVES:
         raise DesignError(
             f"unknown alternative {alternative!r}; choose from {ALTERNATIVES}"

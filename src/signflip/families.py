@@ -1,14 +1,15 @@
 """Exponential-family distributions with canonical links.
 
-Each family bundles the cumulant ``b`` and its derivatives, the canonical
-link pair, the response variance function and the log-density normalizer.
-The per-observation log density is ``y*eta - b(eta) + c(y)``: the
-dispersion is 1 for every family (the gaussian scale is pinned to 1; the
-flip tests are invariant to that constant).
+Each family bundles the mean function b'(eta) and its derivative
+b''(eta), the canonical link pair, response validation, IRLS starting
+values and the deviance.  With a canonical link b''(eta) is both the
+IRLS weight and the response variance V(mu).  The dispersion is 1 for
+every family (the gaussian scale is pinned to 1; the flip tests are
+invariant to that constant).
 """
 
 import numpy as np
-from scipy.special import expit, gammaln, xlogy
+from scipy.special import expit, xlogy
 
 from .exceptions import DesignError
 
@@ -26,10 +27,7 @@ class Family:
 
     name = "family"
 
-    # cumulant and derivatives
-    def b(self, eta):
-        raise NotImplementedError
-
+    # cumulant derivatives
     def b_prime(self, eta):
         """Mean function: mu = b'(eta)."""
         raise NotImplementedError
@@ -43,14 +41,6 @@ class Family:
 
     def inv_link(self, eta):
         return self.b_prime(eta)
-
-    def variance(self, mu):
-        """Response variance at mean ``mu`` (observation scale)."""
-        raise NotImplementedError
-
-    def log_normalizer(self, y):
-        """c(y) in the log density."""
-        raise NotImplementedError
 
     def validate_response(self, y):
         raise NotImplementedError
@@ -66,10 +56,6 @@ class Family:
     def deviance(self, y, mu):
         raise NotImplementedError
 
-    def log_density(self, y, eta):
-        """Per-observation log density at the linear predictor ``eta``."""
-        return y * eta - self.b(eta) + self.log_normalizer(y)
-
     def __repr__(self):
         return f"{type(self).__name__}()"
 
@@ -79,9 +65,6 @@ class Gaussian(Family):
 
     name = "gaussian"
 
-    def b(self, eta):
-        return 0.5 * np.square(eta)
-
     def b_prime(self, eta):
         return np.asarray(eta, dtype=float)
 
@@ -90,12 +73,6 @@ class Gaussian(Family):
 
     def link(self, mu):
         return np.asarray(mu, dtype=float)
-
-    def variance(self, mu):
-        return np.ones_like(np.asarray(mu, dtype=float))
-
-    def log_normalizer(self, y):
-        return -0.5 * np.square(y) - 0.5 * np.log(2.0 * np.pi)
 
     def validate_response(self, y):
         if not np.all(np.isfinite(y)):
@@ -116,9 +93,6 @@ class Poisson(Family):
 
     name = "poisson"
 
-    def b(self, eta):
-        return np.exp(eta)
-
     def b_prime(self, eta):
         return np.exp(eta)
 
@@ -127,12 +101,6 @@ class Poisson(Family):
 
     def link(self, mu):
         return np.log(mu)
-
-    def variance(self, mu):
-        return np.asarray(mu, dtype=float)
-
-    def log_normalizer(self, y):
-        return -gammaln(np.asarray(y, dtype=float) + 1.0)
 
     def validate_response(self, y):
         y = np.asarray(y)
@@ -166,9 +134,6 @@ class Binomial(Family):
             raise DesignError("binomial trial counts must be positive integers")
         self.trials = trials
 
-    def b(self, eta):
-        return self.trials * np.logaddexp(0.0, eta)
-
     def b_prime(self, eta):
         return self.trials * expit(eta)
 
@@ -179,16 +144,6 @@ class Binomial(Family):
     def link(self, mu):
         mu = np.asarray(mu, dtype=float)
         return np.log(mu / (self.trials - mu))
-
-    def variance(self, mu):
-        # count-scale variance m*p*(1-p); the proportion y/m has var p(1-p)/m
-        mu = np.asarray(mu, dtype=float)
-        return mu * (1.0 - mu / self.trials)
-
-    def log_normalizer(self, y):
-        y = np.asarray(y, dtype=float)
-        m = self.trials
-        return gammaln(m + 1.0) - gammaln(y + 1.0) - gammaln(m - y + 1.0)
 
     def validate_response(self, y):
         y = np.asarray(y)

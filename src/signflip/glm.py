@@ -27,7 +27,6 @@ __all__ = [
     "fit_full",
     "score_contributions",
     "information_blocks",
-    "log_likelihood",
     "cholesky_lower",
     "solve_spd",
     "whiten",
@@ -101,12 +100,12 @@ class Fit:
 
     ``coef`` holds the fitted coefficients: the nuisance block for
     ``fit_null`` (tested effect fixed at its null value), every design
-    column for ``fit_full``.  ``W_hat`` are the IRLS weights at the fit.
+    column for ``fit_full``.  ``W_hat`` are the IRLS weights b''(eta) at
+    the fit, which for a canonical link are also the response variances.
     """
 
     coef: np.ndarray
     mu_hat: np.ndarray
-    eta_hat: np.ndarray
     W_hat: np.ndarray
     deviance: float
     iterations: int
@@ -182,7 +181,7 @@ def _irls(X, y, family, offset):
         if not family.valid_mean(mu):
             raise NumericalError("offset-only predictor leaves the valid mean range")
         W = np.asarray(family.b_double_prime(eta), dtype=float)
-        return Fit(np.zeros(0), mu, eta, W, family.deviance(y, mu), 0, True)
+        return Fit(np.zeros(0), mu, W, family.deviance(y, mu), 0, True)
 
     mu = np.asarray(family.initial_mean(y), dtype=float)
     eta = np.asarray(family.link(mu), dtype=float)
@@ -225,7 +224,7 @@ def _irls(X, y, family, offset):
         dev_old, dev = dev, dev_try
         if abs(dev - dev_old) < DEV_TOL * (abs(dev) + 0.1):
             W = np.asarray(family.b_double_prime(eta), dtype=float)
-            return Fit(coef, mu, eta, W, dev, it, True)
+            return Fit(coef, mu, W, dev, it, True)
 
     raise NumericalError(f"IRLS did not converge in {MAX_ITER} iterations")
 
@@ -280,20 +279,3 @@ def score_contributions(y, null_fit, design, family):
     nu_nuis = design.X_nuisance * resid[:, None]
     info = information_blocks(null_fit, design)
     return ScoreSet(nu=nu, nu_nuis=nu_nuis, info=info)
-
-
-def log_likelihood(params, y, design, family):
-    """Sum of log densities at the full coefficient vector ``params``.
-
-    Used as the finite-difference oracle for the score contributions and
-    as a deviance reference; ``params`` follows the design column order.
-    """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (design.k,):
-        raise DesignError(f"params has shape {params.shape}, expected ({design.k},)")
-    y = np.asarray(y, dtype=float)
-    eta = design.offset + design.X @ params
-    mu = np.asarray(family.inv_link(eta), dtype=float)
-    if not family.valid_mean(mu):
-        raise DesignError("parameters leave the valid mean range")
-    return float(np.sum(family.log_density(y, eta)))

@@ -199,13 +199,7 @@ class RejectionCurve:
 
 
 def _mvn_rows(rng, n, corr):
-    corr = np.asarray(corr, dtype=float)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-        raise DesignError("correlation matrix must be square")
-    if not np.allclose(corr, corr.T, atol=1e-12) or not np.allclose(
-        np.diag(corr), 1.0, atol=1e-12
-    ):
-        raise DesignError("correlation matrix must be symmetric with unit diagonal")
+    """n rows of N(0, corr); DesignError unless corr is positive definite."""
     try:
         L = cholesky_lower(corr)
     except NumericalError as exc:
@@ -218,6 +212,10 @@ def gen_mvn_covariates(n, dim, corr, seed=0, mean=0.0):
     corr = np.asarray(corr, dtype=float)
     if corr.shape != (dim, dim):
         raise DesignError(f"correlation matrix must be {dim}x{dim}")
+    if not np.allclose(corr, corr.T, atol=1e-12) or not np.allclose(
+        np.diag(corr), 1.0, atol=1e-12
+    ):
+        raise DesignError("correlation matrix must be symmetric with unit diagonal")
     mean = np.broadcast_to(np.asarray(mean, dtype=float), (dim,))
     return _mvn_rows(keyed_rng(seed), n, corr) + mean
 

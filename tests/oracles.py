@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without the package's fitting
 or flip machinery: plain textbook IRLS updates with hand-coded family
-formulas, brute-force sign enumeration, finite differences, elementwise
+formulas, the log-likelihood from the cumulant and normalizer of each
+family, brute-force sign enumeration, finite differences, elementwise
 information products and quadrature for t tail probabilities.
 """
 
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import xlogy
+from scipy.special import gammaln, xlogy
 
 
 def textbook_irls_poisson(X, y, offset=None, tol=1e-12, max_iter=200):
@@ -45,6 +46,38 @@ def textbook_irls_gaussian(X, y, offset=None):
     beta = np.linalg.solve(X.T @ X, X.T @ (y - offset))
     resid = y - offset - X @ beta
     return beta, float(np.sum(resid**2))
+
+
+def cumulant(family, eta):
+    """b(eta), whose derivatives are the family's mean and weight."""
+    if family.name == "gaussian":
+        return 0.5 * np.square(eta)
+    if family.name == "poisson":
+        return np.exp(eta)
+    return family.trials * np.logaddexp(0.0, eta)
+
+
+def log_normalizer(family, y):
+    """c(y) in the log density y*eta - b(eta) + c(y)."""
+    if family.name == "gaussian":
+        return -0.5 * np.square(y) - 0.5 * np.log(2.0 * np.pi)
+    if family.name == "poisson":
+        return -gammaln(np.asarray(y, dtype=float) + 1.0)
+    y = np.asarray(y, dtype=float)
+    m = family.trials
+    return gammaln(m + 1.0) - gammaln(y + 1.0) - gammaln(m - y + 1.0)
+
+
+def log_likelihood(params, y, design, family):
+    """Sum of log densities at the full coefficient vector ``params``.
+
+    ``params`` follows the design column order; the finite-difference
+    oracle for the score contributions.
+    """
+    params = np.asarray(params, dtype=float)
+    y = np.asarray(y, dtype=float)
+    eta = design.offset + design.X @ params
+    return float(np.sum(y * eta - cumulant(family, eta) + log_normalizer(family, y)))
 
 
 def enumerate_flip_stats(contribs):

@@ -33,7 +33,12 @@ from signflip import (
     warpbreaks,
 )
 from signflip.glm import whiten
-from oracles import enumerate_flip_stats, fd_gradient, oracle_reject_greater
+from oracles import (
+    enumerate_flip_stats,
+    fd_gradient,
+    log_likelihood,
+    oracle_reject_greater,
+)
 
 
 def _report(criterion, ok, detail):
@@ -236,7 +241,7 @@ def test_criterion_8_exhaustive_matches_brute_force():
 
 
 def test_criterion_9_gradient_checks_all_families():
-    from signflip import Binomial, log_likelihood
+    from signflip import Binomial
 
     rng = np.random.default_rng(91)
     worst = 0.0

@@ -310,6 +310,18 @@ def test_cmd_simulate_unknown_scenario(capsys):
         assert name in err
 
 
+@pytest.mark.parametrize("scenario, rho", [
+    ("multivariate", "-0.5"),
+    ("multivariate", "1.0"),
+    ("overdispersed-nuisance", "1.5"),
+])
+def test_cmd_simulate_rho_without_a_positive_definite_matrix_exits_2(scenario, rho,
+                                                                     capsys):
+    rc = main(["simulate", "--scenario", scenario, "--rho", rho, "--reps", "2"])
+    assert rc == 2
+    assert "not positive definite" in capsys.readouterr().err
+
+
 def test_cmd_simulate_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n=40\nreps=10\nw=60\n", encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Family invariants: links, cumulants, variance functions, validation."""
+"""Family invariants: links, cumulants, weights as variances, validation."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from signflip import (
     fit_null,
     flip_test,
 )
+from oracles import cumulant
 
 FITTING_FAMILIES = [Gaussian(), Poisson(), Binomial(trials=7)]
 
@@ -59,10 +60,11 @@ def test_mean_is_cumulant_gradient(family, etas):
     # b'(eta) from finite differences of b; wider step for the second
     # difference to keep cancellation error below truncation error
     h = 1e-6
-    fd = (family.b(etas + h) - family.b(etas - h)) / (2 * h)
+    fd = (cumulant(family, etas + h) - cumulant(family, etas - h)) / (2 * h)
     assert_allclose(family.b_prime(etas), fd, rtol=1e-7, atol=1e-7)
     h2 = 1e-4
-    fd2 = (family.b(etas + h2) - 2 * family.b(etas) + family.b(etas - h2)) / h2**2
+    fd2 = (cumulant(family, etas + h2) - 2 * cumulant(family, etas)
+           + cumulant(family, etas - h2)) / h2**2
     assert_allclose(family.b_double_prime(etas), fd2, rtol=1e-4, atol=1e-5)
 
 
@@ -77,26 +79,28 @@ def test_poisson_variance_matches_simulation():
     mu = 3.0
     draws = rng.poisson(mu, size=100_000).astype(float)
     var, band = _sample_var_band(draws)
-    assert abs(var - Poisson().variance(mu)) < band
+    fam = Poisson()
+    assert abs(var - fam.b_double_prime(fam.link(mu))) < band
 
 
 def test_gaussian_variance_matches_simulation():
     rng = np.random.default_rng(43)
     draws = rng.normal(2.0, 1.0, size=100_000)
     var, band = _sample_var_band(draws)
-    assert abs(var - 1.0) < band
+    fam = Gaussian()
+    assert abs(var - fam.b_double_prime(fam.link(2.0))) < band
 
 
 def test_binomial_variance_matches_simulation_on_proportion_scale():
-    # spec'd scale: var(y/m) = p(1-p)/m
+    # spec'd scale: var(y/m) = p(1-p)/m, the count-scale weight over m^2
     rng = np.random.default_rng(44)
     m, p = 5, 0.3
     fam = Binomial(trials=m)
     draws = rng.binomial(m, p, size=100_000) / m
     var, band = _sample_var_band(draws)
-    assert abs(var - p * (1 - p) / m) < band
-    # count-scale variance function is m p (1-p)
-    assert_allclose(fam.variance(m * p), m * p * (1 - p), rtol=1e-12)
+    weight = fam.b_double_prime(fam.link(m * p))
+    assert abs(var - weight / m**2) < band
+    assert_allclose(weight, m * p * (1 - p), rtol=1e-12)
 
 
 def test_poisson_rejects_bad_responses():
