@@ -2,9 +2,10 @@
 
 Three subcommands: ``test`` runs one (or all) of the tests on a CSV
 dataset, ``simulate`` runs a rejection-probability scenario and writes
-the curve as CSV, and ``warpbreaks`` reproduces the five analyses of the
-embedded loom dataset.  Exit codes: 0 success, 2 input error, 3
-numerical failure.  Output is deterministic for fixed flags and seed.
+the curve as CSV, and ``warpbreaks`` runs the five tests of ``test
+--method all`` on the embedded loom dataset at the default settings.
+Exit codes: 0 success, 2 input error, 3 numerical failure.  Output is
+deterministic for fixed flags and seed.
 """
 
 import argparse
@@ -22,20 +23,17 @@ from .families import family_from_name
 from .flips import MODES
 from .simulate import read_config_file, run_scenario, scenario_config, write_curve_csv
 
-_FLIP_METHODS = ("basic", "effective")
-_ALL_METHODS = ("parametric", "quasi", "sandwich", "basic", "effective")
+_BASELINES = {
+    "parametric": parametric_score_test,
+    "quasi": quasi_score_test,
+    "sandwich": sandwich_wald_test,
+}
+_ALL_METHODS = (*_BASELINES, "basic", "effective")
+_JSON_FIELDS = ("method", "statistic", "p_value", "reject", "alpha", "w", "seed")
 
 
 def _result_dict(res):
-    return {
-        "method": res.method,
-        "statistic": res.statistic,
-        "p_value": res.p_value,
-        "reject": res.reject,
-        "alpha": res.alpha,
-        "w": res.w,
-        "seed": res.seed,
-    }
+    return {name: getattr(res, name) for name in _JSON_FIELDS}
 
 
 def _print_result(res):
@@ -50,29 +48,13 @@ def _print_result(res):
 
 
 def _run_method(method, y, design, family, args):
-    alternative = args.alternative
-    if method in _FLIP_METHODS:
-        if alternative == "two-sided":
-            alternative = "two-sided-abs"
-        return flip_test(
-            y, design, family,
-            method=method,
-            alternative=alternative,
-            alpha=args.alpha,
-            w=args.w,
-            mode=args.mode,
-            seed=args.seed,
-            vhat=args.vhat,
-        )
-    if alternative == "two-sided-abs":
-        alternative = "two-sided"
-    if method == "parametric":
-        return parametric_score_test(y, design, family, alternative, args.alpha)
-    if method == "sandwich":
-        return sandwich_wald_test(y, design, family, alternative, args.alpha)
-    if method == "quasi":
-        return quasi_score_test(y, design, family, alternative, args.alpha)
-    raise DesignError(f"unknown method {method!r}")
+    if method in _BASELINES:
+        return _BASELINES[method](y, design, family, args.alternative, args.alpha)
+    # the baselines read two-sided-abs as two-sided; the flip tests need its name
+    alternative = "two-sided-abs" if args.alternative == "two-sided" else args.alternative
+    return flip_test(y, design, family, method=method, alternative=alternative,
+                     alpha=args.alpha, w=args.w, mode=args.mode, seed=args.seed,
+                     vhat=args.vhat)
 
 
 def _floats(text, flag):
@@ -133,7 +115,8 @@ def cmd_simulate(args):
     overrides = {}
     if args.config:
         overrides.update(read_config_file(args.config))
-    for name in ("n", "reps", "w", "seed", "rho", "theta", "gamma0_latent"):
+    for name in ("n", "reps", "w", "seed", "rho", "theta", "gamma0_latent",
+                 "sigma_rule", "sigma"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
@@ -143,20 +126,13 @@ def cmd_simulate(args):
     if args.gamma0 is not None:
         g = _floats(args.gamma0, "--gamma0")
         overrides["gamma0"] = g[0] if len(g) == 1 else g
-    if args.sigma_rule is not None:
-        overrides["sigma_rule"] = args.sigma_rule
-    if args.sigma is not None:
-        overrides["sigma"] = args.sigma
     cfg = scenario_config(args.scenario, **overrides)
     curve = run_scenario(cfg)
     if args.out:
         write_curve_csv(curve, args.out)
-    if curve.failed_reps:
-        print(
-            f"excluded {len(curve.failed_reps)} failed repetition(s): "
-            + ",".join(str(r) for r in curve.failed_reps),
-            file=sys.stderr,
-        )
+    if curve.failures:
+        print(f"excluded {len(curve.failures)} failed repetition(s): "
+              + ",".join(str(r) for r in curve.failures), file=sys.stderr)
     for a in (0.01, 0.05, 0.1):
         hits = [i for i, g in enumerate(curve.alpha) if abs(g - a) < 1e-12]
         if not hits:
@@ -170,32 +146,16 @@ def cmd_simulate(args):
 def cmd_warpbreaks(args):
     table = read_csv(args.data) if args.data else warpbreaks()
     y = _response(table, "breaks")
-    design = build_design(
-        {k: v for k, v in table.items() if k != "breaks"},
-        tested=["wool"],
-        nuisance=["tension"],
-        intercept=True,
-    )
+    design = build_design({k: v for k, v in table.items() if k != "breaks"},
+                          tested=["wool"], nuisance=["tension"], intercept=True)
     family = family_from_name("poisson")
-    rows = [
-        ("parametric-score", parametric_score_test(y, design, family)),
-        ("quasi-poisson", quasi_score_test(y, design, family)),
-        ("sandwich-wald", sandwich_wald_test(y, design, family)),
-        (
-            "flip-basic",
-            flip_test(y, design, family, method="basic", w=args.w, seed=args.seed),
-        ),
-        (
-            "flip-effective",
-            flip_test(y, design, family, method="effective", w=args.w, seed=args.seed),
-        ),
-    ]
-    width = max(len(name) for name, _ in rows)
+    rows = [_run_method(m, y, design, family, args) for m in _ALL_METHODS]
+    width = max(len(res.method) for res in rows)
     print(f"{'method'.ljust(width)}  p_value")
-    for name, res in rows:
-        print(f"{name.ljust(width)}  {res.p_value}")
+    for res in rows:
+        print(f"{res.method.ljust(width)}  {res.p_value}")
     if args.json:
-        print(json.dumps({name: _result_dict(res) for name, res in rows}))
+        print(json.dumps({res.method: _result_dict(res) for res in rows}))
     return 0
 
 
@@ -259,7 +219,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--data", help="CSV override for the embedded dataset")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_warpbreaks)
+    # the test settings are fixed at the defaults of the library's tests
+    p.set_defaults(func=cmd_warpbreaks, alternative="two-sided", alpha=0.05,
+                   mode="with-replacement", vhat="identity")
     return parser
 
 

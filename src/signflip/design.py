@@ -99,14 +99,6 @@ def _is_categorical(col):
     return np.asarray(col).dtype.kind in ("U", "S", "O", "b")
 
 
-def _levels(col):
-    """Category levels in order of first appearance."""
-    seen = {}
-    for v in np.asarray(col).ravel():
-        seen.setdefault(str(v), None)
-    return list(seen)
-
-
 def _expand(table):
     """Map each usable name to (column vector, label).
 
@@ -119,7 +111,7 @@ def _expand(table):
     for name, col in table.items():
         if _is_categorical(col):
             values = np.asarray([str(v) for v in np.asarray(col).ravel()])
-            levels = _levels(values)
+            levels = list(dict.fromkeys(values))  # in order of first appearance
             labels = []
             for lev in levels[1:]:
                 label = f"{name}{lev}"

@@ -151,13 +151,14 @@ def _statistics(contribs, plan, quadratic):
     contribs = np.asarray(contribs, dtype=float)
     if not np.isfinite(contribs).all():
         raise DesignError(f"contributions of shape {contribs.shape} hold NaN or inf")
-    if contribs.ndim == 1 or not quadratic:
-        contribs = contribs.reshape(-1, 1)
-    if contribs.ndim != 2 or contribs.shape[1] == 0:
-        raise DesignError(
-            f"contributions have shape {contribs.shape}; the quadratic form "
-            "needs an (n, d) array with d >= 1"
-        )
+    shape = contribs.shape
+    if contribs.ndim == 1:
+        contribs = contribs[:, None]
+    if (contribs.ndim != 2 or contribs.shape[1] == 0
+            or not quadratic and contribs.shape[1] > 1):
+        need = ("the quadratic form needs an (n, d) array with d >= 1" if quadratic
+                else "the scalar statistic needs an (n,) or (n, 1) array")
+        raise DesignError(f"contributions have shape {shape}; {need}")
     n, d = contribs.shape
     if n != plan.n:
         raise DesignError(f"contributions have {n} rows, plan has n={plan.n}")
@@ -193,8 +194,9 @@ def _collect(blocks, w):
 def flip_statistics_scalar(contribs, plan):
     """T_j = n^{-1/2} sum_i g_ji * contribs[i] for every flip j.
 
-    g_j is the +-1 sign vector of flip j, row j of ``plan.dense()``.
-    Returns the (w,) array; entry 0 is the observed statistic.
+    g_j is the +-1 sign vector of flip j, row j of ``plan.dense()``, and
+    ``contribs`` has shape (n,) or (n, 1).  Returns the (w,) array;
+    entry 0 is the observed statistic.
     """
     return _collect(_statistics(contribs, plan, quadratic=False), plan.w)
 
@@ -232,12 +234,27 @@ def _count(vals, t1, alternative):
     )
 
 
+def _check_values(values):
+    """Refuse statistics that are not a non-empty 1-d array free of NaN."""
+    # floats or signed integers: -|T_1| wraps if unsigned and fails if boolean
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "if"
+            and values.ndim == 1 and values.size):
+        what = (f"a {values.dtype} array of shape {values.shape}"
+                if isinstance(values, np.ndarray) else type(values).__name__)
+        raise DesignError("statistics must be a non-empty 1-d float or signed integer "
+                          f"array, got {what}")
+    if values.dtype.kind == "f" and np.isnan(values).any():
+        raise DesignError("statistics hold NaN")
+
+
 def p_value(values, alternative):
     """Resampling p-value including the identity flip (so p >= 1/w).
 
     greater counts T_j >= T_1; less counts T_j <= T_1; two-sided-abs
-    counts |T_j| >= |T_1|.
+    counts |T_j| >= |T_1|.  ``values`` is a non-empty 1-d array without
+    NaN; an infinity compares as usual.
     """
+    _check_values(values)
     return _count(values, values[0], alternative) / values.shape[0]
 
 
@@ -270,14 +287,16 @@ def decide(values, alpha, alternative, alpha1=None, alpha2=None,
     m = floor(alpha*w), T_1 > T_(w-m) holds exactly
     when at most m flips have T_j >= T_1, and T_1 < T_(m+1) exactly when
     at most m have T_j <= T_1, ties included; the rules are applied as
-    these counts, so nothing is sorted.
+    these counts, so nothing is sorted.  ``values`` is a non-empty 1-d
+    array without NaN.
     """
+    _check_rule(alpha, alternative)
+    _check_values(values)
     return _decide([values], alpha, alternative, alpha1, alpha2, method)
 
 
 def _decide(blocks, alpha, alternative, alpha1, alpha2, method):
-    """``decide`` on consecutive blocks of the statistics, each counted once."""
-    _check_rule(alpha, alternative)
+    """``decide`` on consecutive blocks of checked statistics, each counted once."""
     sides = ("less", "greater") if alternative == "two-sided-tails" else (alternative,)
     counts, w = dict.fromkeys(sides, 0), 0
     for vals in blocks:

@@ -35,12 +35,9 @@ class Family:
     def b_double_prime(self, eta):
         raise NotImplementedError
 
-    # canonical link pair
+    # canonical link, the inverse of b_prime
     def link(self, mu):
         raise NotImplementedError
-
-    def inv_link(self, eta):
-        return self.b_prime(eta)
 
     def validate_response(self, y):
         raise NotImplementedError

@@ -29,6 +29,7 @@ exhaustive
     ordered as binary counting with the last coordinate moving fastest.
 """
 
+import operator
 import os
 from dataclasses import dataclass
 
@@ -45,11 +46,18 @@ _SEED_MASK = (1 << 64) - 1
 _PLAN_STREAM = 0x666C6970  # distinguishes plan streams from other keyed streams
 
 
+def _integer(name, value):
+    """``value`` as an int, numpy integers included; DesignError for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DesignError(f"{name} must be an integer, got {value!r}") from None
+
+
 def keyed_rng(seed, stream=0):
-    """Counter-based generator keyed by (seed, stream)."""
-    key = np.array(
-        [np.uint64(int(seed) & _SEED_MASK), np.uint64(int(stream) & _SEED_MASK)]
-    )
+    """Counter-based generator keyed by the integers (seed, stream)."""
+    key = np.array([np.uint64(_integer("seed", seed) & _SEED_MASK),
+                    np.uint64(_integer("stream", stream) & _SEED_MASK)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -191,13 +199,12 @@ def _sample_distinct(rng, n, w):
 def make_flip_plan(n, w, mode="with-replacement", seed=0):
     """Build the packed plan of w sign vectors for (n, w, mode, seed).
 
-    Raises DesignError when w < 2, when the plan's w * ceil(n/8) bytes
-    exceed physical memory, when without-replacement is asked for more
-    rows than 2^n, or when exhaustive is requested with n > 20 or
-    w != 2^n.
+    Raises DesignError when n, w or seed is not an integer, when w < 2,
+    when the plan's w * ceil(n/8) bytes exceed physical memory, when
+    without-replacement is asked for more rows than 2^n, or when
+    exhaustive is requested with n > 20 or w != 2^n.
     """
-    n = int(n)
-    w = int(w)
+    n, w, seed = _integer("n", n), _integer("w", w), _integer("seed", seed)
     if n < 1:
         raise DesignError("flip plan needs at least one observation")
     if w < 2:
@@ -217,7 +224,7 @@ def make_flip_plan(n, w, mode="with-replacement", seed=0):
         if w != 1 << n:
             raise DesignError(f"exhaustive mode requires w = 2^n = {1 << n}, got {w}")
         signs = _pack_codes(np.arange(w), n)
-        return FlipPlan(n=n, w=w, mode=mode, seed=int(seed), signs=signs)
+        return FlipPlan(n=n, w=w, mode=mode, seed=seed, signs=signs)
 
     rng = keyed_rng(seed, _PLAN_STREAM)
     if mode == "with-replacement":
@@ -229,4 +236,4 @@ def make_flip_plan(n, w, mode="with-replacement", seed=0):
         signs = _pack_codes(codes, n)
     else:
         signs = _sample_distinct(rng, n, w)
-    return FlipPlan(n=n, w=w, mode=mode, seed=int(seed), signs=signs)
+    return FlipPlan(n=n, w=w, mode=mode, seed=seed, signs=signs)

@@ -177,7 +177,7 @@ def _irls(X, y, family, offset):
 
     if p == 0:
         eta = offset.astype(float).copy()
-        mu = np.asarray(family.inv_link(eta), dtype=float)
+        mu = np.asarray(family.b_prime(eta), dtype=float)
         if not family.valid_mean(mu):
             raise NumericalError("offset-only predictor leaves the valid mean range")
         W = np.asarray(family.b_double_prime(eta), dtype=float)
@@ -203,7 +203,7 @@ def _irls(X, y, family, offset):
         for _ in range(MAX_HALVINGS + 1):
             coef_try = base + t * step
             eta_try = offset + X @ coef_try
-            mu_try = np.asarray(family.inv_link(eta_try), dtype=float)
+            mu_try = np.asarray(family.b_prime(eta_try), dtype=float)
             if family.valid_mean(mu_try) and np.all(np.isfinite(eta_try)):
                 dev_try = family.deviance(y, mu_try)
                 # fight deviance increases only once a previous iterate

@@ -353,6 +353,34 @@ def test_cmd_warpbreaks_report(capsys):
         assert row.split()[-1] == str(entry["p_value"])
 
 
+def test_cmd_warpbreaks_is_cmd_test_all_at_the_default_settings(warpbreaks_csv,
+                                                               capsys):
+    assert main(["warpbreaks", "--w", "2000", "--seed", "3", "--json"]) == 0
+    table = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert main([
+        "test", "--data", warpbreaks_csv, "--response", "breaks",
+        "--tested", "wool", "--nuisance", "tension", "--intercept",
+        "--method", "all", "--w", "2000", "--seed", "3", "--json",
+    ]) == 0
+    doc = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    # same methods, same order, same records
+    assert list(table) == [entry["method"] for entry in doc]
+    assert list(table.values()) == doc
+
+
+def test_cmd_test_baselines_read_two_sided_abs_as_two_sided(warpbreaks_csv, capsys):
+    outs = []
+    for alternative in ("two-sided", "two-sided-abs"):
+        assert main([
+            "test", "--data", warpbreaks_csv, "--response", "breaks",
+            "--tested", "wool", "--nuisance", "tension", "--intercept",
+            "--method", "parametric", "--alternative", alternative, "--json",
+        ]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "method: parametric-score" in outs[0]
+
+
 @pytest.mark.parametrize("text", ["count,wool,tension\n1,A,L\n2,B,M\n",
                                   "breaks,wool,tension\nA,A,L\nB,B,M\n"],
                          ids=["missing", "text"])

@@ -30,7 +30,7 @@ def _mu_grid(family):
 @pytest.mark.parametrize("family", FITTING_FAMILIES, ids=lambda f: f.name)
 def test_link_roundtrip(family):
     mu = _mu_grid(family)
-    back = family.inv_link(family.link(mu))
+    back = family.b_prime(family.link(mu))
     assert_allclose(back, mu, rtol=1e-12, atol=1e-12)
 
 
