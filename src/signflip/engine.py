@@ -20,14 +20,18 @@ lookup table per plan byte, whose row v holds the signed sums of all
 tested columns for byte value v: each plan byte of a flip costs one
 copy of a whole table row, and no dense sign matrix is formed.  The
 tables are built in blocks of at most 32 plan bytes, and the flips are
-summed, scaled and counted 16384 at a time, so ``flip_test`` holds
-about the plan and one block of flips whatever n and w are; a plan of
-one table block (n <= 256) builds it once, a longer one builds each
-table block again for each block of flips.  Each flip adds its bytes'
-entries in ascending byte order however the blocks fall, so the
-statistics are bit-identical to those of one whole table, a
-complementary flip still gives exactly the negated sums, and a
-quadratic form adds its squared columns in column order.
+summed, scaled and counted in blocks of 16384, fewer when d > 4 so that
+a block's sums stay within the bytes of 16384 rows of four.
+``flip_test`` draws a with-replacement plan one block of flips at a
+time, just before it is summed, so it holds one block of the plan and
+one block of sums whatever n and w are; a plan of another mode is made
+whole and read in slices.  A plan of one table block (n <= 256) builds
+it once, a longer one builds each table block again for each block of
+flips.  Each flip adds its bytes' entries in ascending byte order
+however the blocks fall, so the statistics are bit-identical to those
+of one whole table, a complementary flip still gives exactly the
+negated sums, and a quadratic form adds its squared columns in column
+order.
 
 Effective scores subtract the information-weighted projection of the
 nuisance contributions, which removes the first-order effect of
@@ -36,11 +40,12 @@ nuisance estimation on the flipped statistics.
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .exceptions import DesignError
-from .flips import MODES, make_flip_plan
+from .flips import MODES, check_plan, make_flip_plan, with_replacement_blocks
 from .glm import fit_null, score_contributions, whiten
 
 __all__ = [
@@ -54,7 +59,7 @@ __all__ = [
 ]
 
 ALTERNATIVES = ("greater", "less", "two-sided-abs", "two-sided-tails")
-_CHUNK = 1 << 14  # flips summed per block
+_CHUNK = 1 << 14  # flips summed per block, at most 4 columns wide
 _BYTE_BLOCK = 32  # plan bytes per block of byte tables
 
 
@@ -112,33 +117,49 @@ def _byte_tables(contribs, width):
     return tab
 
 
-def _signed_sums(signs, contribs):
-    """Yield (m, width) signed column sums for consecutive blocks of m flips.
+def _width(d):
+    """Columns per row of signed sums: d, with d = 3 padded to 4."""
+    return 4 if d == 3 else d
+
+
+def _block_flips(width):
+    """Flips per block: ``_CHUNK``, or fewer for rows wider than 4, so
+    that a block's sums take no more bytes than ``_CHUNK`` rows of 4."""
+    budget = 8 * 4 * _CHUNK
+    return max(1, min(_CHUNK, budget // (8 * width)))
+
+
+def _signed_sums(blocks, contribs):
+    """Yield (m, width) signed column sums for each (ceil(n/8), m) plan block.
 
     Column c < d holds flip j's sum of ``g_ji * contribs[i, c]``, and the
     columns past d are zero: width is d, except that d = 3 is padded to
     4, because numpy's take copies rows of 1, 2 or 4 doubles with a
     fixed-width loop and a 3-double row with a memmove; each plan byte
-    costs one gather of whole rows.  Each block of ``_CHUNK`` flips
-    overwrites the last, so nothing grows with w, and it reads the byte
-    tables ``_BYTE_BLOCK`` plan bytes at a time, so they do not grow with
-    n: a plan of one table block (n <= 256) builds it once, a longer plan
+    costs one gather of whole rows.  ``blocks`` holds consecutive blocks
+    of flips, the first as long as any; each block's sums overwrite the
+    last's, so nothing grows with w.  The byte tables are read
+    ``_BYTE_BLOCK`` plan bytes at a time, so they do not grow with n: a
+    plan of one table block (n <= 256) builds it once, a longer plan
     builds every table block again for each block of flips.  Each entry
     depends only on the 8 rows of its byte, and each flip adds its bytes'
     entries in ascending byte order, so the sums are bit-identical
     however they are partitioned.
     """
-    nb, w = signs.shape
-    d = contribs.shape[1]
-    width = 4 if d == 3 else d
+    n, d = contribs.shape
+    nb = -(-n // 8)
+    width = _width(d)
     tab = _byte_tables(contribs[: 8 * _BYTE_BLOCK], width)
-    out = np.empty((min(w, _CHUNK), width))  # not on top of the table build
-    for start in range(0, w, _CHUNK):
-        acc = out[: min(_CHUNK, w - start)]
+    out = None
+    for i, signs in enumerate(blocks):
+        if out is None:  # not on top of the table build
+            out = np.empty((signs.shape[1], width))
+        acc = out[: signs.shape[1]]
         for b0 in range(0, nb, _BYTE_BLOCK):
-            if nb > _BYTE_BLOCK and (start or b0):
+            if nb > _BYTE_BLOCK and (i or b0):
+                del tab  # not held while the next is built
                 tab = _byte_tables(contribs[8 * b0 : 8 * (b0 + _BYTE_BLOCK)], width)
-            for k, idx in enumerate(signs[b0 : b0 + _BYTE_BLOCK, start : start + _CHUNK]):
+            for k, idx in enumerate(signs[b0 : b0 + _BYTE_BLOCK]):
                 if b0 == k == 0:  # the plan's first byte starts every sum
                     acc[...] = tab[0].take(idx, axis=0)
                 else:
@@ -146,9 +167,24 @@ def _signed_sums(signs, contribs):
         yield acc
 
 
-def _statistics(contribs, plan, quadratic):
-    """The scalar or quadratic statistics of each block of flips."""
-    contribs = np.asarray(contribs, dtype=float)
+def _real_array(contribs):
+    """``contribs`` as a float array; DesignError unless it holds real numbers."""
+    try:
+        values = np.asarray(contribs)
+    except ValueError:  # ragged nesting
+        raise DesignError("contributions must be a rectangular array of numbers") from None
+    if values.dtype.kind not in "biuf":
+        raise DesignError(f"contributions must be real numbers, got {values.dtype} values")
+    return np.asarray(values, dtype=float)
+
+
+def _statistics(contribs, n, blocks, quadratic):
+    """The scalar or quadratic statistics of each block of flips.
+
+    ``blocks(m)`` yields the consecutive (ceil(n/8), <= m) blocks of a
+    plan of n observations, as ``FlipPlan.blocks`` does.
+    """
+    contribs = _real_array(contribs)
     if not np.isfinite(contribs).all():
         raise DesignError(f"contributions of shape {contribs.shape} hold NaN or inf")
     shape = contribs.shape
@@ -159,9 +195,9 @@ def _statistics(contribs, plan, quadratic):
         need = ("the quadratic form needs an (n, d) array with d >= 1" if quadratic
                 else "the scalar statistic needs an (n,) or (n, 1) array")
         raise DesignError(f"contributions have shape {shape}; {need}")
-    n, d = contribs.shape
-    if n != plan.n:
-        raise DesignError(f"contributions have {n} rows, plan has n={plan.n}")
+    d = contribs.shape[1]
+    if contribs.shape[0] != n:
+        raise DesignError(f"contributions have {contribs.shape[0]} rows, plan has n={n}")
     root_n = math.sqrt(n)
 
     def statistic(s):
@@ -175,7 +211,8 @@ def _statistics(contribs, plan, quadratic):
             stat += s[:, c]
         return stat
 
-    return map(statistic, _signed_sums(plan.signs, contribs))
+    size = _block_flips(_width(d))
+    return map(statistic, _signed_sums(blocks(size), contribs))
 
 
 def _collect(blocks, w):
@@ -198,7 +235,7 @@ def flip_statistics_scalar(contribs, plan):
     ``contribs`` has shape (n,) or (n, 1).  Returns the (w,) array;
     entry 0 is the observed statistic.
     """
-    return _collect(_statistics(contribs, plan, quadratic=False), plan.w)
+    return _collect(_statistics(contribs, plan.n, plan.blocks, quadratic=False), plan.w)
 
 
 def flip_statistics_quadratic(contribs, plan):
@@ -209,7 +246,7 @@ def flip_statistics_quadratic(contribs, plan):
     gives such contributions for V = A^-1.  Returns the (w,) array;
     entry 0 is the observed statistic.
     """
-    return _collect(_statistics(contribs, plan, quadratic=True), plan.w)
+    return _collect(_statistics(contribs, plan.n, plan.blocks, quadratic=True), plan.w)
 
 
 def _floor_multiple(alpha, w):
@@ -332,6 +369,16 @@ def _decide(blocks, alpha, alternative, alpha1, alpha2, method):
                       alpha=float(alpha), alternative=alternative, method=method)
 
 
+def _contributions(y, design, family, method, vhat):
+    """The (n, d) contributions ``flip_test`` flips; the fit is not kept."""
+    null_fit = fit_null(y, design, family)
+    scores = score_contributions(y, null_fit, design, family)
+    contribs = effective_contributions(scores) if method == "effective" else scores.nu
+    if design.d > 1 and vhat == "inv-effective-info":
+        contribs = whiten(scores.effective_information(), contribs)
+    return contribs
+
+
 def flip_test(y, design, family, method="effective", alternative="two-sided-abs",
               alpha=0.05, w=5000, mode="with-replacement", seed=0,
               vhat="identity"):
@@ -340,10 +387,12 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     Fits the null model, forms per-observation score contributions
     (projected to effective scores unless ``method="basic"``), flips them
     w times and applies the decision rule, counting each block of flips
-    as it is summed.  A single tested column uses the scalar statistic;
-    d > 1 uses the quadratic form with ``vhat`` either ``"identity"`` or
-    ``"inv-effective-info"``, the latter by whitening the contributions
-    with the effective information I* so that T_j = s_j' I*^-1 s_j.
+    as it is summed; a with-replacement plan is drawn one block of flips
+    at a time, so only that block of it is held.  A single tested column
+    uses the scalar statistic; d > 1 uses the quadratic form with
+    ``vhat`` either ``"identity"`` or ``"inv-effective-info"``, the
+    latter by whitening the contributions with the effective information
+    I* so that T_j = s_j' I*^-1 s_j.
     """
     for name, value, allowed in (("method", method, ("basic", "effective")),
                                  ("vhat", vhat, ("identity", "inv-effective-info")),
@@ -351,12 +400,11 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
         if value not in allowed:
             raise DesignError(f"{name} must be one of {allowed}, got {value!r}")
     _check_rule(alpha, alternative)
-    null_fit = fit_null(y, design, family)
-    scores = score_contributions(y, null_fit, design, family)
-    contribs = effective_contributions(scores) if method == "effective" else scores.nu
-    if design.d > 1 and vhat == "inv-effective-info":
-        contribs = whiten(scores.effective_information(), contribs)
-    plan = make_flip_plan(design.n, w, mode=mode, seed=seed)
-    stats = _statistics(contribs, plan, quadratic=design.d > 1)
+    contribs = _contributions(y, design, family, method, vhat)
+    if mode == "with-replacement":  # drawn block by block, never held whole
+        blocks = partial(with_replacement_blocks, *check_plan(design.n, w, mode, seed))
+    else:  # distinct flips are found in the whole plan
+        blocks = make_flip_plan(design.n, w, mode=mode, seed=seed).blocks
+    stats = _statistics(contribs, design.n, blocks, quadratic=design.d > 1)
     result = _decide(stats, alpha, alternative, None, None, f"flip-{method}")
     return replace(result, w=w, seed=int(seed))

@@ -13,6 +13,10 @@ signs.
 Flips come from one counter-based Philox stream keyed by (seed, plan
 stream), so the plan for a given (n, w, mode, seed) is identical
 regardless of how the downstream statistics are scheduled or chunked.
+A with-replacement plan can also be drawn block by block of flips
+(``with_replacement_blocks``), each plan row read from its own
+generator started at the row's first stream byte, so the whole plan
+is never held; ``make_flip_plan`` takes the same blocks.
 
 Modes
 -----
@@ -44,6 +48,7 @@ MODES = ("with-replacement", "without-replacement", "exhaustive")
 _EXHAUSTIVE_MAX_N = 20
 _SEED_MASK = (1 << 64) - 1
 _PLAN_STREAM = 0x666C6970  # distinguishes plan streams from other keyed streams
+_WORD = np.dtype("<u8")  # the stream's bytes are its words, little-endian
 
 
 def _integer(name, value):
@@ -54,11 +59,15 @@ def _integer(name, value):
         raise DesignError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _key(seed, stream):
+    """The Philox key of the integers (seed, stream)."""
+    return np.array([np.uint64(_integer("seed", seed) & _SEED_MASK),
+                     np.uint64(_integer("stream", stream) & _SEED_MASK)])
+
+
 def keyed_rng(seed, stream=0):
     """Counter-based generator keyed by the integers (seed, stream)."""
-    key = np.array([np.uint64(_integer("seed", seed) & _SEED_MASK),
-                    np.uint64(_integer("stream", stream) & _SEED_MASK)])
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, stream)))
 
 
 def require_memory(what, need):
@@ -99,6 +108,10 @@ class FlipPlan:
         bits = np.unpackbits(self.signs.T, axis=1, count=self.n, bitorder="little")
         return 1 - 2 * bits.astype(np.int8)
 
+    def blocks(self, size):
+        """Consecutive (ceil(n/8), m) column slices of ``signs``, m <= size."""
+        return (self.signs[:, s : s + size] for s in range(0, self.w, size))
+
 
 def _pack_codes(codes, n):
     """Byte-major packing of n-bit codes (n <= 32).
@@ -110,16 +123,25 @@ def _pack_codes(codes, n):
     return np.packbits(bits, axis=0, bitorder="little")
 
 
+def _stream_bytes(bits, words):
+    """The next ``words`` 64-bit outputs of ``bits`` as little-endian bytes."""
+    return bits.random_raw(words).astype(_WORD, copy=False).view(np.uint8)
+
+
+def _mask_padding(signs, n):
+    """Clear the bits past n in the last byte row."""
+    if n % 8:
+        signs[-1] &= (1 << (n % 8)) - 1
+
+
 def _random_flips(rng, n, w):
     """w uniform packed flips, byte-major: byte b of flip j is stream byte b*w + j.
 
     The padding bits past n are masked off.
     """
     nb = -(-n // 8)
-    raw = rng.bit_generator.random_raw(-(-nb * w // 8)).astype("<u8", copy=False)
-    out = raw.view(np.uint8)[: nb * w].reshape(nb, w)
-    if n % 8:
-        out[-1] &= (1 << (n % 8)) - 1
+    out = _stream_bytes(rng.bit_generator, -(-nb * w // 8))[: nb * w].reshape(nb, w)
+    _mask_padding(out, n)
     return out
 
 
@@ -196,11 +218,12 @@ def _sample_distinct(rng, n, w):
     return signs
 
 
-def make_flip_plan(n, w, mode="with-replacement", seed=0):
-    """Build the packed plan of w sign vectors for (n, w, mode, seed).
+def check_plan(n, w, mode="with-replacement", seed=0):
+    """(n, w, seed) as ints, once every check of ``make_flip_plan`` has passed.
 
     Raises DesignError when n, w or seed is not an integer, when w < 2,
-    when the plan's w * ceil(n/8) bytes exceed physical memory, when
+    when the plan's w * ceil(n/8) bytes exceed physical memory (a
+    streamed plan of that size would not end either), when
     without-replacement is asked for more rows than 2^n, or when
     exhaustive is requested with n > 20 or w != 2^n.
     """
@@ -215,7 +238,6 @@ def make_flip_plan(n, w, mode="with-replacement", seed=0):
     if mode == "without-replacement" and (w - 1).bit_length() > n:
         raise DesignError(f"without-replacement needs w <= 2^n, got w={w} for n={n}")
     require_memory(f"the plan's w={w} flips of n={n} observations", -(-n // 8) * w)
-
     if mode == "exhaustive":
         if n > _EXHAUSTIVE_MAX_N:
             raise DesignError(
@@ -223,17 +245,74 @@ def make_flip_plan(n, w, mode="with-replacement", seed=0):
             )
         if w != 1 << n:
             raise DesignError(f"exhaustive mode requires w = 2^n = {1 << n}, got {w}")
-        signs = _pack_codes(np.arange(w), n)
-        return FlipPlan(n=n, w=w, mode=mode, seed=seed, signs=signs)
+    return n, w, seed
 
-    rng = keyed_rng(seed, _PLAN_STREAM)
-    if mode == "with-replacement":
-        signs = _random_flips(rng, n, w)
+
+def with_replacement_blocks(n, w, seed, size):
+    """Consecutive (ceil(n/8), m) blocks of the with-replacement plan, m <= size.
+
+    Concatenated, the blocks are ``make_flip_plan(n, w, seed=seed).signs``
+    byte for byte; n, w and seed are as ``check_plan`` returns them.  A
+    plan of at most ``size`` flips is one draw of the stream, returned
+    as a new array.  A longer one reads each plan row b from its own
+    generator started at stream byte b*w, takes the next m bytes of every
+    row for each block, and overwrites one (ceil(n/8), size) array, so a
+    block holds only until the next is drawn and nothing grows with w.
+    """
+    if w <= size:
+        signs = _random_flips(keyed_rng(seed, _PLAN_STREAM), n, w)
         signs[:, 0] = 0
+        yield signs
+        return
+    nb = -(-n // 8)
+    key = _key(seed, _PLAN_STREAM)
+    # Row b is stream bytes b*w .. b*w + w - 1.  Philox gives four 64-bit
+    # words per counter value, so the row's generator starts at the
+    # counter of the word holding byte b*w and drops the words before
+    # that word.  tail[b] is the word drawn last for row b: a block that
+    # starts inside it, at byte (b*w + start) % 8, takes its rest first.
+    readers, tail = [], np.empty((nb, 8), dtype=np.uint8)
+    for b in range(nb):
+        word, skip = divmod(b * w, 8)
+        bits = np.random.Philox(key=key, counter=word // 4)
+        bits.random_raw(word % 4)
+        if skip:
+            tail[b] = _stream_bytes(bits, 1)
+        readers.append(bits)
+    block = np.empty((nb, size), dtype=np.uint8)
+    for start in range(0, w, size):
+        m = min(size, w - start)
+        out = block[:, :m]
+        for b, bits in enumerate(readers):
+            skip = (b * w + start) % 8
+            k = min(m, 8 - skip) if skip else 0
+            if k:
+                out[b, :k] = tail[b, skip : skip + k]
+            if k < m:
+                raw = _stream_bytes(bits, -(-(m - k) // 8))
+                out[b, k:] = raw[: m - k]
+                tail[b] = raw[-8:]
+        _mask_padding(out, n)
+        if start == 0:
+            out[:, 0] = 0
+        yield out
+
+
+def make_flip_plan(n, w, mode="with-replacement", seed=0):
+    """Build the packed plan of w sign vectors for (n, w, mode, seed).
+
+    Raises DesignError as ``check_plan`` does.
+    """
+    n, w, seed = check_plan(n, w, mode, seed)
+    if mode == "exhaustive":
+        signs = _pack_codes(np.arange(w), n)
+    elif mode == "with-replacement":
+        signs = next(with_replacement_blocks(n, w, seed, w))
     elif n <= _EXHAUSTIVE_MAX_N:
+        rng = keyed_rng(seed, _PLAN_STREAM)
         codes = np.zeros(w, dtype=np.int64)
         codes[1:] = rng.choice((1 << n) - 1, size=w - 1, replace=False) + 1
         signs = _pack_codes(codes, n)
     else:
-        signs = _sample_distinct(rng, n, w)
+        signs = _sample_distinct(keyed_rng(seed, _PLAN_STREAM), n, w)
     return FlipPlan(n=n, w=w, mode=mode, seed=seed, signs=signs)

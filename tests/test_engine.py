@@ -243,6 +243,33 @@ def test_with_replacement_plan_reads_keyed_stream_byte_major(n):
     assert not plan.signs[:, 0].any()
 
 
+@settings(max_examples=150, deadline=None)
+@example(n=80, w=299, seed=0, chunk=7)  # w % 8 != 0: rows start inside a word
+@example(n=80, w=36, seed=1, chunk=8)
+@example(n=80, w=40, seed=2, chunk=33)  # w % 32 != 0: inside a counter's 4 words
+@example(n=17, w=300, seed=3, chunk=33)
+@given(
+    n=st.integers(1, 80),
+    w=st.integers(2, 300),
+    seed=st.integers(0, 2**32),
+    chunk=st.sampled_from([7, 8, 33]),
+)
+def test_streamed_plan_blocks_are_the_plan_columns(n, w, seed, chunk):
+    # flip_test draws a with-replacement plan block by block, each row
+    # from its own generator; the blocks must be the plan's columns,
+    # padding masked and flip 0 cleared, however the blocks fall
+    import signflip.engine as engine
+    from signflip.flips import with_replacement_blocks
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_CHUNK", chunk)
+        size = engine._block_flips(1)
+    blocks = [b.copy() for b in with_replacement_blocks(n, w, seed, size)]
+    assert [b.shape[1] for b in blocks] == [min(size, w - s) for s in range(0, w, size)]
+    assert_array_equal(np.concatenate(blocks, axis=1),
+                       make_flip_plan(n, w, seed=seed).signs)
+
+
 def test_first_row_is_identity_in_all_modes():
     for mode, w in (("with-replacement", 17), ("without-replacement", 9),
                     ("exhaustive", 16)):
@@ -369,11 +396,12 @@ def test_complementary_flips_give_exactly_negated_statistics(kind):
         assert_array_equal(values, values[::-1])
 
 
-def _all_sums(signs, contribs):
+def _all_sums(plan, contribs):
     """The signed sums of every flip, copied from each block as it comes."""
     import signflip.engine as engine
 
-    return np.concatenate([b.copy() for b in engine._signed_sums(signs, contribs)])
+    blocks = plan.blocks(engine._CHUNK)
+    return np.concatenate([b.copy() for b in engine._signed_sums(blocks, contribs)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,21 +425,24 @@ def test_lookup_kernel_matches_dense_product(n, d, w, seed, mode):
     plan = make_flip_plan(n, w, mode=mode, seed=seed)
     rng = np.random.default_rng(seed)
     contribs = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=d)
-    got = _all_sums(plan.signs, contribs)
+    got = _all_sums(plan, contribs)
     want = plan.dense().astype(float) @ contribs
-    assert got.shape == (w, 4 if d == 3 else d)
+    width = 4 if d == 3 else d
+    assert got.shape == (w, width)
     assert not got[:, d:].any()
     assert np.all(np.abs(got[:, :d] - want) <= 1e-12 * np.abs(contribs).sum(axis=0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", 7)
-        # every plan is yielded 7 flips at a time, however long it is
-        sizes = [len(b) for b in engine._signed_sums(plan.signs, contribs)]
-        assert sizes == [min(7, w - s) for s in range(0, w, 7)]
-        assert_array_equal(_all_sums(plan.signs, contribs), got)
+        # every plan is summed 7 flips at a time, however long it is, and
+        # rows wider than 4 in blocks of no more bytes: 28 // width flips
+        m = min(7, 28 // width)
+        sizes = [len(t) for t in engine._statistics(contribs, n, plan.blocks, True)]
+        assert sizes == [min(m, w - s) for s in range(0, w, m)]
+        assert_array_equal(_all_sums(plan, contribs), got)
         # byte-table blocks of any size give the same sums bit for bit
         for byte_block in (1, 2, 5):
             mp.setattr(engine, "_BYTE_BLOCK", byte_block)
-            assert_array_equal(_all_sums(plan.signs, contribs), got)
+            assert_array_equal(_all_sums(plan, contribs), got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -428,7 +459,7 @@ def test_quadratic_sums_squares_in_column_order(n, d, w, seed):
     # a pairwise or blocked sum over the columns rounds differently
     plan = make_flip_plan(n, w, seed=seed)
     contribs = np.random.default_rng(seed).normal(size=(n, d))
-    s = _all_sums(plan.signs, contribs) / np.sqrt(n)
+    s = _all_sums(plan, contribs) / np.sqrt(n)
     want = np.zeros(w)
     for c in range(d):
         want = want + s[:, c] * s[:, c]
@@ -463,6 +494,17 @@ def test_kernels_refuse_non_finite_contributions(monkeypatch, bad):
         flip_statistics_quadratic(contribs, plan)
 
 
+@pytest.mark.parametrize("kernel", [flip_statistics_scalar, flip_statistics_quadratic])
+@pytest.mark.parametrize("bad", [[[1.0], [1.0, 2.0]], ["a", "b"], [[1 + 1j], [2]]],
+                         ids=["ragged", "text", "complex"])
+def test_kernels_refuse_ragged_text_and_complex_contributions(kernel, bad):
+    # numpy would raise a bare ValueError on the first two and drop the
+    # imaginary part of the third with only a warning
+    plan = make_flip_plan(2, 4, mode="exhaustive")
+    with pytest.raises(DesignError, match="contributions must be"):
+        kernel(bad, plan)
+
+
 def _peak_of_second_call(call):
     call()  # lazy imports and caches are not part of the call's memory
     tracemalloc.start()
@@ -473,24 +515,22 @@ def _peak_of_second_call(call):
         tracemalloc.stop()
 
 
-def _peak_above_the_plan(y, design, ws=(200_000, 800_000), **kwargs):
-    """flip_test's peak memory above its plan, at each w in ``ws``."""
-    peaks = []
-    for w in ws:
-        peak = _peak_of_second_call(
-            lambda: flip_test(y, design, Poisson(), w=w, seed=4, **kwargs))
-        peaks.append(peak - -(-design.n // 8) * w)
-    return peaks
+def _flip_test_peaks(y, design, ws=(200_000, 800_000), **kwargs):
+    """flip_test's whole peak memory at each w in ``ws``."""
+    return [_peak_of_second_call(
+                lambda: flip_test(y, design, Poisson(), w=w, seed=4, **kwargs))
+            for w in ws]
 
 
-def test_flip_test_peak_memory_is_the_plan_and_the_statistics():
-    # at n <= 256 each block of flips is summed, scaled and counted before
-    # the next is summed, so nothing but the plan grows with w; holding
-    # the (w,) statistics would add 8w bytes, 4.8 MB between the two w
+def test_flip_test_peak_memory_is_one_block_of_flips():
+    # a with-replacement plan is drawn one block of flips at a time and
+    # each block is summed, scaled and counted before the next is drawn,
+    # so nothing grows with w; holding the plan would add w*ceil(n/8)
+    # bytes, 4.2 MB between the two w, and the (w,) statistics 8w bytes
     table = warpbreaks()
     design = build_design({"wool": table["wool"], "tension": table["tension"]},
                           tested=["wool"], nuisance=["tension"], intercept=True)
-    small, large = _peak_above_the_plan(table["breaks"], design)
+    small, large = _flip_test_peaks(table["breaks"], design)
     assert abs(large - small) <= 2**16
     assert large <= 2**20
 
@@ -505,17 +545,17 @@ def test_quadratic_flip_test_peak_memory_at_n_50_does_not_grow_with_w():
     design = build_design({f"x{i}": X[:, i] for i in range(6)},
                           tested=[f"x{i}" for i in range(5)], nuisance=["x5"],
                           intercept=True)
-    small, large = _peak_above_the_plan(y, design, vhat="identity")
+    small, large = _flip_test_peaks(y, design, vhat="identity")
     assert abs(large - small) <= 2**16
     assert large <= 2**21
 
 
-def test_quadratic_flip_test_peak_memory_is_the_plan_and_the_padded_sums():
+def test_quadratic_flip_test_peak_memory_is_one_plan_block_and_the_padded_sums():
     # n = 2000 is eight blocks of byte tables, built again for each block
-    # of flips: three tested columns are summed in rows of four, and the
-    # (block, 4) sums and the (block,) statistic are all that sits on top
-    # of the plan, whatever w is; holding all w statistics would add 8w
-    # bytes, 480 KB between the two w
+    # of flips: three tested columns are summed in rows of four, and one
+    # (ceil(n/8), block) piece of the plan, the (block, 4) sums and the
+    # (block,) statistic are all that is held, whatever w is; holding the
+    # plan would add 15 MB between the two w, and all w statistics 480 KB
     import signflip.engine as engine
 
     rng = np.random.default_rng(101)
@@ -525,10 +565,26 @@ def test_quadratic_flip_test_peak_memory_is_the_plan_and_the_padded_sums():
     design = build_design({f"x{i}": X[:, i] for i in range(4)},
                           tested=["x0", "x1", "x2"], nuisance=["x3"],
                           intercept=True)
-    small, large = _peak_above_the_plan(y, design, ws=(20_000, 80_000),
-                                        vhat="inv-effective-info")
+    small, large = _flip_test_peaks(y, design, ws=(20_000, 80_000),
+                                    vhat="inv-effective-info")
     assert abs(large - small) <= 2**16
-    assert large <= 8 * engine._CHUNK * 4 + 8 * engine._CHUNK + 2**20
+    block = engine._CHUNK
+    assert large <= -(-n // 8) * block + 8 * block * 4 + 8 * block + 2**20
+
+
+def test_wide_quadratic_blocks_are_sized_by_bytes():
+    # at d = 200 a block of 16384 flips would hold two 26 MB arrays (the
+    # sums and each gather's temporary); blocks of 16384 * 4 // 200 flips
+    # keep both within the bytes of (16384, 4) sums
+    import signflip.engine as engine
+
+    n, d, w = 200, 200, 40_000
+    contribs = np.random.default_rng(107).normal(size=(n, d))
+    peak = _peak_of_second_call(
+        lambda: flip_statistics_quadratic(contribs, make_flip_plan(n, w, seed=5)))
+    nb = -(-n // 8)
+    tables, plan, budget = nb * 256 * d * 8, nb * w, 8 * 4 * engine._CHUNK
+    assert peak <= tables + plan + 2 * budget + 2**20
 
 
 def test_scalar_statistics_zero_contributions():
@@ -867,29 +923,55 @@ def test_flip_test_checks_its_rule_before_the_fit_and_the_plan(monkeypatch):
             flip_test(y, design, Gaussian(), w=10**8, **bad)
 
 
+def test_flip_test_refuses_a_plan_past_memory_before_any_flip_is_drawn(monkeypatch):
+    # a streamed plan holds one block, but w * ceil(n/8) bytes past
+    # physical memory would take a run that does not end: it is refused
+    # as make_flip_plan refuses it, before the first block is drawn
+    import signflip.engine as engine
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a flip was drawn or summed")
+
+    monkeypatch.setattr(engine, "with_replacement_blocks", unreachable)
+    monkeypatch.setattr(engine, "_signed_sums", unreachable)
+    table = warpbreaks()
+    design = build_design({"wool": table["wool"], "tension": table["tension"]},
+                          tested=["wool"], nuisance=["tension"], intercept=True)
+    with pytest.raises(DesignError, match="physical memory"):
+        flip_test(table["breaks"], design, Poisson(), w=10**15)
+
+
 @settings(max_examples=80, deadline=None)
 @example(n=300, d=1, w=40, seed=0, alternative="two-sided-abs", alpha=0.3,
-         mode="with-replacement", balanced=True)
+         mode="with-replacement", balanced=True, chunk=7)
 @example(n=8, d=5, w=60, seed=1, alternative="two-sided-tails", alpha=0.5,
-         mode="without-replacement", balanced=False)
+         mode="without-replacement", balanced=False, chunk=7)
+@example(n=54, d=1, w=299, seed=2, alternative="greater", alpha=0.05,
+         mode="with-replacement", balanced=False, chunk=33)
+@example(n=77, d=3, w=100, seed=3, alternative="less", alpha=0.2,
+         mode="with-replacement", balanced=True, chunk=8)
 @given(
     n=st.sampled_from([8, 20, 54, 256, 257, 300]) | st.integers(8, 300),
     d=st.sampled_from([1, 2, 3, 5]),
-    w=st.integers(2, 60),
+    w=st.integers(2, 300),
     seed=st.integers(0, 2**32 - 1),
     alternative=st.sampled_from(["greater", "less", "two-sided-abs",
                                  "two-sided-tails"]),
     alpha=st.floats(0.01, 0.99),
     mode=st.sampled_from(["with-replacement", "without-replacement"]),
     balanced=st.booleans(),
+    chunk=st.sampled_from([7, 8, 33]),
 )
 def test_flip_test_counts_blocks_as_decide_counts_the_statistics(
-        n, d, w, seed, alternative, alpha, mode, balanced):
-    # flip_test counts each block of 7 flips against T_1 as it is summed;
-    # decide counts all w statistics at once.  Integer contributions tie
-    # flips with T_1, and balanced columns make T_1 = 0.
+        n, d, w, seed, alternative, alpha, mode, balanced, chunk):
+    # flip_test draws a with-replacement plan a block of flips at a time
+    # and counts each block against T_1 as it is summed; decide counts all
+    # w statistics of the materialized plan at once.  Integer
+    # contributions tie flips with T_1, and balanced columns make T_1 = 0.
     import signflip.engine as engine
 
+    if mode == "without-replacement":
+        w = min(w, 2**n)
     rng = np.random.default_rng(seed)
     contribs = rng.integers(-2, 3, size=(n, d)).astype(float)
     if balanced:
@@ -898,7 +980,7 @@ def test_flip_test_counts_blocks_as_decide_counts_the_statistics(
                           tested=[f"x{i}" for i in range(d)], intercept=True)
     y = rng.normal(size=n)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_CHUNK", 7)
+        mp.setattr(engine, "_CHUNK", chunk)
         mp.setattr(engine, "effective_contributions", lambda scores: contribs)
         got = flip_test(y, design, Gaussian(), alternative=alternative,
                         alpha=alpha, w=w, mode=mode, seed=seed)
