@@ -9,11 +9,13 @@ scipy's norm, t and chi2 distributions, so p-values equal theirs bit
 for bit without importing scipy's statistics package.
 """
 
+import math
+
 import numpy as np
 from scipy.special import chdtrc, ndtr, stdtr
 
-from .engine import TestResult, _check_alpha
-from .exceptions import DesignError, NumericalError
+from .engine import TestResult
+from .exceptions import DesignError, NumericalError, check_alpha, finite_array
 from .glm import (
     fit_full,
     fit_null,
@@ -96,7 +98,7 @@ def rao_test(scores, alternative="two-sided", alpha=0.05):
     z = S*/sqrt(I*), referred to the standard normal; for d > 1 it is
     S*' (I*)^-1 S* with a chi-squared d upper tail (two-sided only).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     n = scores.nu.shape[0]
     s_star = scores.nu.sum(axis=0) / np.sqrt(n)  # equals the effective score at the MLE
     return _normal_or_chi2(s_star, scores.effective_information(), alternative, alpha,
@@ -117,7 +119,7 @@ def sandwich_wald_test(y, design, family, alternative="two-sided", alpha=0.05):
     normal; d > 1 uses the quadratic form with a chi-squared d reference
     (two-sided only).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     full_fit = fit_full(y, design, family)
     vcov = sandwich_estimate(y, full_fit, design, family)
     idx = list(design.tested)
@@ -133,7 +135,7 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05):
     t = (beta_hat - beta0) / sqrt(phi_hat * [ (X'WX)^-1 ]_DD) is referred
     to Student's t on n - k degrees of freedom.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if family.name != "poisson":
         raise DesignError("quasi_score_test requires the poisson family")
     if design.d != 1:
@@ -161,17 +163,25 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05):
 
 
 def one_sample_t(y, mu0=0.0, alternative="two-sided", alpha=0.05):
-    """Student's one-sample t-test of the mean against mu0."""
-    _check_alpha(alpha)
-    y = np.asarray(y, dtype=float)
+    """Student's one-sample t-test of the mean against mu0.
+
+    ``y`` is a 1-d array of finite numbers.  Huge ones can overflow the
+    sample sd or the statistic in double precision, which raises
+    NumericalError rather than a warning.
+    """
+    check_alpha(alpha)
+    y = finite_array("y", y, ndim=1)
+    mu0 = float(finite_array("mu0", mu0, ndim=0))
     n = y.shape[0]
     if n < 2:
         raise DesignError("one_sample_t needs at least two observations")
-    if not np.all(np.isfinite(y)):
-        raise DesignError("one_sample_t needs finite observations")
-    s = float(np.std(y, ddof=1))
-    if s == 0.0:
-        raise NumericalError("zero sample variance")
-    t = float(np.sqrt(n) * (np.mean(y) - mu0) / s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float(np.std(y, ddof=1))
+        if s == 0.0:
+            raise NumericalError("zero sample variance")
+        t = float(np.sqrt(n) * (np.mean(y) - mu0) / s)
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise NumericalError("one_sample_t overflows: the sample sd or the t statistic "
+                             "is not finite in double precision")
     p = _tail_p(t, alternative, lambda x: stdtr(n - 1, x))
     return _result(t, p, alpha, alternative, "t-test")

@@ -18,7 +18,7 @@ from .baselines import parametric_score_test, quasi_score_test, sandwich_wald_te
 from .datasets import warpbreaks
 from .design import build_design, read_csv
 from .engine import flip_test
-from .exceptions import DesignError, NumericalError
+from .exceptions import DesignError, NumericalError, check_alpha
 from .families import family_from_name
 from .flips import MODES
 from .simulate import read_config_file, run_scenario, scenario_config, write_curve_csv
@@ -72,8 +72,7 @@ def _response(table, name):
 
 
 def cmd_test(args):
-    if not 0.0 < args.alpha < 1.0:
-        raise DesignError("--alpha must be in (0, 1)")
+    check_alpha(args.alpha)  # before any method runs, so none is skipped for it
     table = read_csv(args.data)
     y = _response(table, args.response)
     tested = [s for s in args.tested.split(",") if s]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DesignError
+from .exceptions import DesignError, finite_array, integer, real_array
 
 __all__ = ["DesignMatrix", "build_design", "read_csv"]
 
@@ -34,13 +34,9 @@ class DesignMatrix:
     offset: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        X = np.ascontiguousarray(np.asarray(self.X, dtype=float))
+        X = np.ascontiguousarray(finite_array("design matrix", self.X, ndim=2))
         object.__setattr__(self, "X", X)
-        if X.ndim != 2:
-            raise DesignError("design matrix must be two-dimensional")
-        if not np.all(np.isfinite(X)):
-            raise DesignError("design matrix has NaN or infinite entries")
-        tested = tuple(int(j) for j in self.tested)
+        tested = tuple(integer("tested index", j) for j in self.tested)
         if not tested:
             raise DesignError("at least one tested column is required")
         if len(set(tested)) != len(tested) or not all(
@@ -48,20 +44,14 @@ class DesignMatrix:
         ):
             raise DesignError("tested indices must be distinct columns of X")
         object.__setattr__(self, "tested", tested)
-        nv = np.asarray(self.null_value, dtype=float).reshape(-1)
-        if nv.size != len(tested):
-            raise DesignError(
-                f"null_value has length {nv.size}, expected {len(tested)}"
-            )
-        if not np.all(np.isfinite(nv)):
-            raise DesignError("null_value has NaN or infinite entries")
+        nv = np.atleast_1d(finite_array("null_value", self.null_value))
+        if nv.shape != (len(tested),):
+            raise DesignError(f"null_value has shape {nv.shape}, expected ({len(tested)},)")
         object.__setattr__(self, "null_value", nv)
         off = self.offset
-        off = np.zeros(X.shape[0]) if off is None else np.asarray(off, dtype=float)
+        off = np.zeros(X.shape[0]) if off is None else finite_array("offset", off)
         if off.shape != (X.shape[0],):
             raise DesignError("offset must be an n-vector")
-        if not np.all(np.isfinite(off)):
-            raise DesignError("offset has NaN or infinite entries")
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "columns", tuple(self.columns))
 
@@ -95,10 +85,6 @@ class DesignMatrix:
         return self.offset + self.X_tested @ self.null_value
 
 
-def _is_categorical(col):
-    return np.asarray(col).dtype.kind in ("U", "S", "O", "b")
-
-
 def _expand(table):
     """Map each usable name to (column vector, label).
 
@@ -109,8 +95,15 @@ def _expand(table):
     single = {}
     groups = {}
     for name, col in table.items():
-        if _is_categorical(col):
-            values = np.asarray([str(v) for v in np.asarray(col).ravel()])
+        label = f"column {name!r}"
+        try:
+            values = np.asarray(col)
+        except ValueError:  # ragged nesting
+            raise DesignError(f"{label} must be a rectangular array") from None
+        if values.ndim != 1:
+            raise DesignError(f"{label} must be 1-dimensional, got shape {values.shape}")
+        if values.dtype.kind in "USOb":  # categorical
+            values = np.asarray([str(v) for v in values])
             levels = list(dict.fromkeys(values))  # in order of first appearance
             labels = []
             for lev in levels[1:]:
@@ -119,8 +112,7 @@ def _expand(table):
                 labels.append(label)
             groups[name] = labels
         else:
-            arr = np.asarray(col, dtype=float).reshape(-1)
-            single[name] = arr
+            single[name] = real_array(label, values)
             groups[name] = [name]
     return single, groups
 
@@ -195,12 +187,11 @@ def build_design(table, tested, nuisance=(), intercept=True, null_value=None,
     k = X.shape[1]
     d = len(tested_labels)
 
-    nv = np.zeros(d) if null_value is None else np.asarray(null_value, dtype=float)
     design = DesignMatrix(
         X=X,
         columns=tuple(names),
         tested=tuple(range(k - d, k)),
-        null_value=nv,
+        null_value=np.zeros(d) if null_value is None else null_value,
         offset=offset,
     )
     Z = design.X_nuisance

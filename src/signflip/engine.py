@@ -44,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .exceptions import DesignError
+from .exceptions import DesignError, check_alpha, finite_array
 from .flips import MODES, check_plan, make_flip_plan, with_replacement_blocks
 from .glm import fit_null, score_contributions, whiten
 
@@ -167,26 +167,13 @@ def _signed_sums(blocks, contribs):
         yield acc
 
 
-def _real_array(contribs):
-    """``contribs`` as a float array; DesignError unless it holds real numbers."""
-    try:
-        values = np.asarray(contribs)
-    except ValueError:  # ragged nesting
-        raise DesignError("contributions must be a rectangular array of numbers") from None
-    if values.dtype.kind not in "biuf":
-        raise DesignError(f"contributions must be real numbers, got {values.dtype} values")
-    return np.asarray(values, dtype=float)
-
-
 def _statistics(contribs, n, blocks, quadratic):
     """The scalar or quadratic statistics of each block of flips.
 
     ``blocks(m)`` yields the consecutive (ceil(n/8), <= m) blocks of a
     plan of n observations, as ``FlipPlan.blocks`` does.
     """
-    contribs = _real_array(contribs)
-    if not np.isfinite(contribs).all():
-        raise DesignError(f"contributions of shape {contribs.shape} hold NaN or inf")
+    contribs = finite_array("contributions", contribs)
     shape = contribs.shape
     if contribs.ndim == 1:
         contribs = contribs[:, None]
@@ -295,15 +282,9 @@ def p_value(values, alternative):
     return _count(values, values[0], alternative) / values.shape[0]
 
 
-def _check_alpha(alpha):
-    """Refuse an alpha outside (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise DesignError("alpha must be in (0, 1)")
-
-
 def _check_rule(alpha, alternative):
     """Refuse an alpha outside (0, 1) or an unknown alternative."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if alternative not in ALTERNATIVES:
         raise DesignError(
             f"unknown alternative {alternative!r}; choose from {ALTERNATIVES}"
@@ -351,7 +332,7 @@ def _decide(blocks, alpha, alternative, alpha1, alpha2, method):
             )
         if alpha1 is None:
             alpha1 = alpha2 = _floor_multiple(alpha / 2.0, w) / w
-        m1, m2 = alpha1 * w, alpha2 * w
+        m1, m2 = finite_array("alpha1 and alpha2", [alpha1, alpha2], ndim=1) * w
         if abs(m1 - round(m1)) > 1e-9 or abs(m2 - round(m2)) > 1e-9:
             raise DesignError(
                 "two-sided-tails needs alpha1 and alpha2 to be multiples of 1/w"

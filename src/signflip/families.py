@@ -5,13 +5,14 @@ b''(eta), the canonical link pair, response validation, IRLS starting
 values and the deviance.  With a canonical link b''(eta) is both the
 IRLS weight and the response variance V(mu).  The dispersion is 1 for
 every family (the gaussian scale is pinned to 1; the flip tests are
-invariant to that constant).
+invariant to that constant).  The response reaches each method as the
+finite float n-vector that ``glm`` has checked, so no method converts it.
 """
 
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .exceptions import DesignError
+from .exceptions import DesignError, finite_array
 
 __all__ = [
     "Family",
@@ -40,7 +41,7 @@ class Family:
         raise NotImplementedError
 
     def validate_response(self, y):
-        raise NotImplementedError
+        """DesignError unless the finite float n-vector ``y`` is a valid response."""
 
     def initial_mean(self, y):
         """Starting values for IRLS, strictly inside the mean range."""
@@ -71,12 +72,8 @@ class Gaussian(Family):
     def link(self, mu):
         return np.asarray(mu, dtype=float)
 
-    def validate_response(self, y):
-        if not np.all(np.isfinite(y)):
-            raise DesignError("gaussian response must be finite")
-
     def initial_mean(self, y):
-        return np.asarray(y, dtype=float)
+        return y
 
     def valid_mean(self, mu):
         return bool(np.all(np.isfinite(mu)))
@@ -100,15 +97,13 @@ class Poisson(Family):
         return np.log(mu)
 
     def validate_response(self, y):
-        y = np.asarray(y)
-        if np.any(y < 0) or np.any(y != np.floor(y)) or not np.all(np.isfinite(y)):
+        if np.any(y < 0) or np.any(y != np.floor(y)):
             raise DesignError("poisson response must be non-negative integers")
 
     def initial_mean(self, y):
-        return np.asarray(y, dtype=float) + 0.5
+        return y + 0.5
 
     def valid_mean(self, mu):
-        mu = np.asarray(mu)
         return bool(np.all(np.isfinite(mu)) and np.all(mu > 0.0))
 
     def deviance(self, y, mu):
@@ -126,7 +121,7 @@ class Binomial(Family):
     name = "binomial"
 
     def __init__(self, trials=1):
-        trials = np.asarray(trials, dtype=float)
+        trials = finite_array("binomial trials", trials)
         if np.any(trials < 1) or np.any(trials != np.floor(trials)):
             raise DesignError("binomial trial counts must be positive integers")
         self.trials = trials
@@ -143,7 +138,6 @@ class Binomial(Family):
         return np.log(mu / (self.trials - mu))
 
     def validate_response(self, y):
-        y = np.asarray(y)
         if self.trials.ndim and self.trials.shape != y.shape:
             raise DesignError(
                 f"binomial trials have shape {self.trials.shape}, "
@@ -153,17 +147,14 @@ class Binomial(Family):
             raise DesignError("binomial response must be counts in [0, trials]")
 
     def initial_mean(self, y):
-        y = np.asarray(y, dtype=float)
         return self.trials * (y + 0.5) / (self.trials + 1.0)
 
     def valid_mean(self, mu):
-        mu = np.asarray(mu)
         return bool(
             np.all(np.isfinite(mu)) and np.all(mu > 0.0) and np.all(mu < self.trials)
         )
 
     def deviance(self, y, mu):
-        y = np.asarray(y, dtype=float)
         m = self.trials
         dev = xlogy(y, y) - xlogy(y, mu)
         dev += xlogy(m - y, m - y) - xlogy(m - y, m - mu)
@@ -186,4 +177,7 @@ def family_from_name(name, **kwargs):
         raise DesignError(
             f"unknown family {name!r}; choose from {', '.join(sorted(table))}"
         ) from None
+    unknown = sorted(set(kwargs) - ({"trials"} if cls is Binomial else set()))
+    if unknown:
+        raise DesignError(f"the {name} family takes no argument {unknown[0]!r}")
     return cls(**kwargs)

@@ -33,13 +33,12 @@ exhaustive
     ordered as binary counting with the last coordinate moving fastest.
 """
 
-import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DesignError
+from .exceptions import DesignError, integer
 
 __all__ = ["FlipPlan", "make_flip_plan", "MODES"]
 
@@ -51,18 +50,10 @@ _PLAN_STREAM = 0x666C6970  # distinguishes plan streams from other keyed streams
 _WORD = np.dtype("<u8")  # the stream's bytes are its words, little-endian
 
 
-def _integer(name, value):
-    """``value`` as an int, numpy integers included; DesignError for anything else."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DesignError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _key(seed, stream):
     """The Philox key of the integers (seed, stream)."""
-    return np.array([np.uint64(_integer("seed", seed) & _SEED_MASK),
-                     np.uint64(_integer("stream", stream) & _SEED_MASK)])
+    return np.array([np.uint64(integer("seed", seed) & _SEED_MASK),
+                     np.uint64(integer("stream", stream) & _SEED_MASK)])
 
 
 def keyed_rng(seed, stream=0):
@@ -221,17 +212,13 @@ def _sample_distinct(rng, n, w):
 def check_plan(n, w, mode="with-replacement", seed=0):
     """(n, w, seed) as ints, once every check of ``make_flip_plan`` has passed.
 
-    Raises DesignError when n, w or seed is not an integer, when w < 2,
-    when the plan's w * ceil(n/8) bytes exceed physical memory (a
-    streamed plan of that size would not end either), when
+    Raises DesignError when n, w or seed is not an integer, when n < 1
+    or w < 2, when the plan's w * ceil(n/8) bytes exceed physical memory
+    (a streamed plan of that size would not end either), when
     without-replacement is asked for more rows than 2^n, or when
     exhaustive is requested with n > 20 or w != 2^n.
     """
-    n, w, seed = _integer("n", n), _integer("w", w), _integer("seed", seed)
-    if n < 1:
-        raise DesignError("flip plan needs at least one observation")
-    if w < 2:
-        raise DesignError("flip count w must be at least 2")
+    n, w, seed = integer("n", n, 1), integer("w", w, 2), integer("seed", seed)
     if mode not in MODES:
         raise DesignError(f"unknown flip mode {mode!r}; choose from {MODES}")
     # w > 2^n, without forming 2^n for a huge n

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .exceptions import DesignError, NumericalError
+from .exceptions import DesignError, NumericalError, finite_array
 
 __all__ = [
     "Fit",
@@ -170,11 +170,7 @@ def _irls(X, y, family, offset):
     offset).  Raises NumericalError on non-convergence or when
     step-halving cannot produce a valid mean.
     """
-    y = np.asarray(y, dtype=float)
-    n, p = X.shape
-    if y.shape != (n,):
-        raise DesignError(f"response has shape {y.shape}, expected ({n},)")
-
+    p = X.shape[1]
     if p == 0:
         eta = offset.astype(float).copy()
         mu = np.asarray(family.b_prime(eta), dtype=float)
@@ -229,6 +225,15 @@ def _irls(X, y, family, offset):
     raise NumericalError(f"IRLS did not converge in {MAX_ITER} iterations")
 
 
+def _response(y, design, family):
+    """``y`` as a finite float n-vector that ``family`` accepts as its response."""
+    y = finite_array("response", y)
+    if y.shape != (design.n,):
+        raise DesignError(f"response has shape {y.shape}, expected ({design.n},)")
+    family.validate_response(y)
+    return y
+
+
 def fit_null(y, design, family):
     """Maximize the likelihood over the nuisance block under the null.
 
@@ -236,13 +241,13 @@ def fit_null(y, design, family):
     offset, so only the nuisance coefficients (including any intercept)
     are estimated.  At convergence the nuisance score sums vanish.
     """
-    family.validate_response(y)
+    y = _response(y, design, family)
     return _irls(design.X_nuisance, y, family, design.fitting_offset)
 
 
 def fit_full(y, design, family):
     """Maximize the likelihood over all design columns."""
-    family.validate_response(y)
+    y = _response(y, design, family)
     if np.linalg.matrix_rank(design.X) < design.k:
         raise DesignError("design matrix is rank deficient for the full fit")
     return _irls(design.X, y, family, design.offset)
@@ -273,7 +278,7 @@ def score_contributions(y, null_fit, design, family):
     Row i is x_i (y_i - mu_i) restricted to the respective column
     block, evaluated at the null fit (canonical link).
     """
-    y = np.asarray(y, dtype=float)
+    y = _response(y, design, family)
     resid = y - null_fit.mu_hat
     nu = design.X_tested * resid[:, None]
     nu_nuis = design.X_nuisance * resid[:, None]

@@ -36,7 +36,7 @@ from .engine import (
     flip_statistics_scalar,
     p_value,
 )
-from .exceptions import DesignError, NumericalError
+from .exceptions import DesignError, NumericalError, finite_array, integer, real_array
 from .families import Poisson
 from .flips import keyed_rng, make_flip_plan, require_memory
 from .glm import cholesky_lower, fit_null, score_contributions
@@ -72,22 +72,16 @@ def _default_alpha_grid():
     return np.asarray(grid)
 
 
-def _finite(name, value):
-    """``value`` as a 1-d array of finite floats; DesignError naming the field."""
-    try:
-        arr = np.asarray(value, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        raise DesignError(f"{name} must be numeric, got {value!r}") from None
-    if not np.isfinite(arr).all():
-        raise DesignError(f"{name} must be finite, got {value!r}")
-    return arr
+_EXP_INDEX_MAX_N = 709  # exp(710) overflows a double
 
 
-def _finite_scalar(name, value):
-    arr = _finite(name, value)
-    if arr.size != 1:
-        raise DesignError(f"{name} must be a single number, got {value!r}")
-    return float(arr[0])
+def _check_sigma_rule(sigma_rule, n):
+    """Refuse an unknown sd rule, and exp-index past the n where exp(n) overflows."""
+    if sigma_rule not in ("exp-index", "constant"):
+        raise DesignError("sigma_rule must be 'exp-index' or 'constant'")
+    if sigma_rule == "exp-index" and n > _EXP_INDEX_MAX_N:
+        raise DesignError(f"sigma_rule 'exp-index' needs n <= {_EXP_INDEX_MAX_N}, "
+                          f"where sd_n = exp(n) is finite; got n={n}")
 
 
 @dataclass
@@ -114,35 +108,28 @@ class SimConfig:
                 f"unknown scenario {self.scenario!r}; valid names: "
                 + ", ".join(SCENARIOS)
             )
-        for name in ("n", "reps", "w", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DesignError(f"{name} must be an integer, got {value!r}")
-        if self.reps < 1:
-            raise DesignError("reps must be at least 1")
-        if self.n < 1:
-            raise DesignError("n must be at least 1")
+        for name, low in (("n", 1), ("reps", 1), ("w", 2), ("seed", None)):
+            setattr(self, name, integer(name, getattr(self, name), low))
         for name in ("gamma0_latent", "rho", "sigma"):
-            setattr(self, name, _finite_scalar(name, getattr(self, name)))
+            setattr(self, name, float(finite_array(name, getattr(self, name), ndim=0)))
         if self.theta is not None:
-            self.theta = _finite_scalar("theta", self.theta)
+            self.theta = float(finite_array("theta", self.theta, ndim=0))
             if not self.theta > 0:
                 raise DesignError(f"theta must be positive, got {self.theta!r}")
-        grid = _finite("alpha_grid", self.alpha_grid)
-        if grid.size and (
+        grid = np.atleast_1d(finite_array("alpha_grid", self.alpha_grid))
+        if grid.ndim != 1 or grid.size and (
             np.any(grid <= 0.0) or np.any(grid >= 1.0) or np.any(np.diff(grid) <= 0)
         ):
-            raise DesignError("alpha_grid must be strictly increasing within (0, 1)")
+            raise DesignError("alpha_grid must be a strictly increasing vector within (0, 1)")
         self.alpha_grid = grid
         if self.scenario == "hetero-t":
-            if self.sigma_rule not in ("exp-index", "constant"):
-                raise DesignError("sigma_rule must be 'exp-index' or 'constant'")
-            self.beta = _finite_scalar("beta", self.beta)
+            _check_sigma_rule(self.sigma_rule, self.n)
+            self.beta = float(finite_array("beta", self.beta, ndim=0))
         else:
-            self.beta = _finite("beta", self.beta)
-            self.gamma0 = _finite("gamma0", self.gamma0)
-            if self.beta.size != self.gamma0.size:
-                raise DesignError("beta and gamma0 must have the same dimension")
+            self.beta, self.gamma0 = (np.atleast_1d(finite_array(name, getattr(self, name)))
+                                      for name in ("beta", "gamma0"))
+            if self.beta.ndim != 1 or self.beta.shape != self.gamma0.shape:
+                raise DesignError("beta and gamma0 must be vectors of the same dimension")
         # a lower bound, checked before a repetition allocates anything: a
         # float per observation (make_flip_plan checks w's plan bytes)
         require_memory(f"n={self.n} observations", 8 * self.n)
@@ -209,27 +196,30 @@ def _mvn_rows(rng, n, corr):
 
 def gen_mvn_covariates(n, dim, corr, seed=0, mean=0.0):
     """n rows of N(mean, corr) via the Cholesky factor; deterministic per seed."""
-    corr = np.asarray(corr, dtype=float)
+    n, dim = integer("n", n, 0), integer("dim", dim, 1)
+    corr = real_array("correlation matrix", corr)
     if corr.shape != (dim, dim):
         raise DesignError(f"correlation matrix must be {dim}x{dim}")
     if not np.allclose(corr, corr.T, atol=1e-12) or not np.allclose(
         np.diag(corr), 1.0, atol=1e-12
     ):
         raise DesignError("correlation matrix must be symmetric with unit diagonal")
-    mean = np.broadcast_to(np.asarray(mean, dtype=float), (dim,))
+    mean = finite_array("mean", mean)
+    if mean.shape not in ((), (1,), (dim,)):
+        raise DesignError(f"mean must be a number or a {dim}-vector, got shape {mean.shape}")
     return _mvn_rows(keyed_rng(seed), n, corr) + mean
 
 
 def _poisson(rng, lam):
     """Poisson counts; NumericalError for a mean too large to draw from."""
     try:
-        return rng.poisson(lam).astype(float)
+        return np.asarray(rng.poisson(lam), dtype=float)  # a scalar lam draws an int
     except ValueError as exc:
         raise NumericalError(f"cannot draw Poisson counts: {exc}") from None
 
 
 def _negbin(rng, eta, theta):
-    mu = np.exp(np.asarray(eta, dtype=float))
+    mu = np.exp(eta)
     lam = rng.gamma(shape=theta, scale=mu / theta)
     return _poisson(rng, lam)
 
@@ -240,24 +230,27 @@ def gen_negbin_response(eta, theta, seed=0):
     Gamma-Poisson mixture: lambda_i ~ Gamma(shape theta, mean mu_i),
     Y_i ~ Poisson(lambda_i).
     """
+    theta = float(finite_array("theta", theta, ndim=0))
     if not theta > 0:
         raise DesignError("theta must be positive")
-    return _negbin(keyed_rng(seed), eta, theta)
+    return _negbin(keyed_rng(seed), finite_array("eta", eta), theta)
 
 
 def _hetero_normal(rng, n, mu, sigma_rule, sigma):
     if sigma_rule == "exp-index":
         sd = np.exp(np.arange(1, n + 1, dtype=float))
-    elif sigma_rule == "constant":
-        sd = np.full(n, float(sigma))
     else:
-        raise DesignError("sigma_rule must be 'exp-index' or 'constant'")
+        sd = np.full(n, sigma)
     return mu + sd * rng.standard_normal(n)
 
 
 def gen_hetero_normal(n, mu, sigma_rule="exp-index", sigma=1.0, seed=0):
     """Independent normals with mean mu and sd_i = exp(i) or a constant."""
-    return _hetero_normal(keyed_rng(seed), int(n), float(mu), sigma_rule, sigma)
+    n = integer("n", n, 0)
+    _check_sigma_rule(sigma_rule, n)
+    mu = float(finite_array("mu", mu, ndim=0))
+    sigma = float(finite_array("sigma", sigma, ndim=0))
+    return _hetero_normal(keyed_rng(seed), n, mu, sigma_rule, sigma)
 
 
 def _glm_rep(cfg, rep):
