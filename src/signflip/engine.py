@@ -332,7 +332,8 @@ def _decide(blocks, alpha, alternative, alpha1, alpha2, method):
             )
         if alpha1 is None:
             alpha1 = alpha2 = _floor_multiple(alpha / 2.0, w) / w
-        m1, m2 = finite_array("alpha1 and alpha2", [alpha1, alpha2], ndim=1) * w
+        m1 = finite_array("alpha1", alpha1, ndim=0) * w
+        m2 = finite_array("alpha2", alpha2, ndim=0) * w
         if abs(m1 - round(m1)) > 1e-9 or abs(m2 - round(m2)) > 1e-9:
             raise DesignError(
                 "two-sided-tails needs alpha1 and alpha2 to be multiples of 1/w"
