@@ -17,6 +17,7 @@ from scipy.special import chdtrc, ndtr, stdtr
 from .engine import TestResult
 from .exceptions import DesignError, NumericalError, check_alpha, finite_array
 from .glm import (
+    check_response,
     fit_full,
     fit_null,
     score_contributions,
@@ -79,11 +80,11 @@ def sandwich_estimate(y, full_fit, design, family):
 
     Returns bread^-1 meat bread^-1 with bread X'WX (applied only through
     solves) and meat sum_i u_i u_i', u_i the score contribution rows of
-    the full fit.
+    the full fit.  ``y`` is checked as the fits check a response.
     """
     X = design.X
     xtwx = X.T @ (full_fit.W_hat[:, None] * X)
-    resid = np.asarray(y, dtype=float) - full_fit.mu_hat
+    resid = check_response(y, design, family) - full_fit.mu_hat
     U = X * resid[:, None]
     tmp = solve_spd(xtwx, U.T @ U)       # bread^-1 meat
     vcov = solve_spd(xtwx, tmp.T).T      # bread^-1 meat bread^-1

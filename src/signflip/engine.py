@@ -21,13 +21,17 @@ tested columns for byte value v: each plan byte of a flip costs one
 copy of a whole table row, and no dense sign matrix is formed.  The
 tables are built in blocks of at most 32 plan bytes, and the flips are
 summed, scaled and counted in blocks of 16384, fewer when d > 4 so that
-a block's sums stay within the bytes of 16384 rows of four.
-``flip_test`` draws a with-replacement plan one block of flips at a
-time, just before it is summed, so it holds one block of the plan and
-one block of sums whatever n and w are; a plan of another mode is made
-whole and read in slices.  A plan of one table block (n <= 256) builds
-it once, a longer one builds each table block again for each block of
-flips.  Each flip adds its bytes' entries in ascending byte order
+a block's sums stay within the bytes of 16384 rows of four.  The plan is
+read in pieces of one block of flips by one block of tables, each
+table block built as its piece arrives.  ``flip_test`` draws a
+with-replacement plan piece by piece, just before each is summed, so it
+holds one piece of the plan, one block of tables and one block of sums
+whatever n and w are; so does a without-replacement plan with n > 20
+when it is the with-replacement plan (``flips.streamable``).  Any other
+plan is made whole and read in slices.  A plan of one table block
+(n <= 256) builds it once, a longer one builds each table block again
+for each block of flips, which holds at least 1024 flips for that
+reason.  Each flip adds its bytes' entries in ascending byte order
 however the blocks fall, so the statistics are bit-identical to those
 of one whole table, a complementary flip still gives exactly the
 negated sums, and a quadratic form adds its squared columns in column
@@ -45,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from .exceptions import DesignError, check_alpha, finite_array
-from .flips import MODES, check_plan, make_flip_plan, with_replacement_blocks
+from .flips import MODES, check_plan, make_flip_plan, streamable, with_replacement_chunks
 from .glm import fit_null, score_contributions, whiten
 
 __all__ = [
@@ -61,6 +65,7 @@ __all__ = [
 ALTERNATIVES = ("greater", "less", "two-sided-abs", "two-sided-tails")
 _CHUNK = 1 << 14  # flips summed per block, at most 4 columns wide
 _BYTE_BLOCK = 32  # plan bytes per block of byte tables
+_REBUILT_FLIPS = 1 << 10  # flips per block at least, where tables are rebuilt
 
 
 @dataclass(frozen=True)
@@ -122,56 +127,69 @@ def _width(d):
     return 4 if d == 3 else d
 
 
-def _block_flips(width):
+def _block_flips(width, n):
     """Flips per block: ``_CHUNK``, or fewer for rows wider than 4, so
-    that a block's sums take no more bytes than ``_CHUNK`` rows of 4."""
-    budget = 8 * 4 * _CHUNK
-    return max(1, min(_CHUNK, budget // (8 * width)))
+    that a block's sums take no more bytes than ``_CHUNK`` rows of 4.
+
+    A plan longer than one table block (n > 256) builds its tables again
+    for each block of m flips: 256 rows per plan byte against the m rows
+    it gathers, a rebuild share of about 256/m.  Its blocks therefore
+    hold at least ``_REBUILT_FLIPS`` flips, which keeps that share at a
+    quarter or less.
+    """
+    m = 8 * 4 * _CHUNK // (8 * width)
+    if n > 8 * _BYTE_BLOCK:
+        m = max(m, _REBUILT_FLIPS)
+    return max(1, min(_CHUNK, m))
 
 
-def _signed_sums(blocks, contribs):
-    """Yield (m, width) signed column sums for each (ceil(n/8), m) plan block.
+def _signed_sums(chunks, contribs):
+    """Yield (m, width) signed column sums for each block of m flips.
 
     Column c < d holds flip j's sum of ``g_ji * contribs[i, c]``, and the
     columns past d are zero: width is d, except that d = 3 is padded to
     4, because numpy's take copies rows of 1, 2 or 4 doubles with a
     fixed-width loop and a 3-double row with a memmove; each plan byte
-    costs one gather of whole rows.  ``blocks`` holds consecutive blocks
-    of flips, the first as long as any; each block's sums overwrite the
-    last's, so nothing grows with w.  The byte tables are read
-    ``_BYTE_BLOCK`` plan bytes at a time, so they do not grow with n: a
-    plan of one table block (n <= 256) builds it once, a longer plan
-    builds every table block again for each block of flips.  Each entry
-    depends only on the 8 rows of its byte, and each flip adds its bytes'
-    entries in ascending byte order, so the sums are bit-identical
-    however they are partitioned.
+    costs one gather of whole rows.  ``chunks`` holds the pieces of
+    consecutive blocks of flips, the first block as long as any, each
+    block as its (<= ``_BYTE_BLOCK``, m) pieces in ascending row order,
+    as ``FlipPlan.chunks`` gives them.  Each piece's byte tables are
+    built as it arrives and the block's sums are yielded after its last
+    piece; they overwrite the last block's, so nothing grows with w, and
+    neither the tables nor a piece grows with n.  A plan of one table
+    block (n <= 256) builds its tables once, a longer plan builds every
+    table block again for each block of flips.  Each entry depends only
+    on the 8 rows of its byte, and each flip adds its bytes' entries in
+    ascending byte order, so the sums are bit-identical however they are
+    partitioned.
     """
     n, d = contribs.shape
     nb = -(-n // 8)
     width = _width(d)
     tab = _byte_tables(contribs[: 8 * _BYTE_BLOCK], width)
-    out = None
-    for i, signs in enumerate(blocks):
+    out, b0 = None, 0
+    for i, signs in enumerate(chunks):
         if out is None:  # not on top of the table build
             out = np.empty((signs.shape[1], width))
+        if nb > _BYTE_BLOCK and i:
+            del tab  # not held while the next is built
+            tab = _byte_tables(contribs[8 * b0 : 8 * (b0 + _BYTE_BLOCK)], width)
         acc = out[: signs.shape[1]]
-        for b0 in range(0, nb, _BYTE_BLOCK):
-            if nb > _BYTE_BLOCK and (i or b0):
-                del tab  # not held while the next is built
-                tab = _byte_tables(contribs[8 * b0 : 8 * (b0 + _BYTE_BLOCK)], width)
-            for k, idx in enumerate(signs[b0 : b0 + _BYTE_BLOCK]):
-                if b0 == k == 0:  # the plan's first byte starts every sum
-                    acc[...] = tab[0].take(idx, axis=0)
-                else:
-                    acc += tab[k].take(idx, axis=0)
-        yield acc
+        for k, idx in enumerate(signs):
+            if b0 == k == 0:  # the plan's first byte starts every sum
+                acc[...] = tab[0].take(idx, axis=0)
+            else:
+                acc += tab[k].take(idx, axis=0)
+        b0 = (b0 + signs.shape[0]) % nb
+        if b0 == 0:  # the block's last piece
+            yield acc
 
 
-def _statistics(contribs, n, blocks, quadratic):
+def _statistics(contribs, n, chunks, quadratic):
     """The scalar or quadratic statistics of each block of flips.
 
-    ``blocks(m)`` yields the consecutive (ceil(n/8), <= m) blocks of a
-    plan of n observations, as ``FlipPlan.blocks`` does.
+    ``chunks(m, rows)`` yields the pieces of a plan of n observations
+    in consecutive blocks of <= m flips, as ``FlipPlan.chunks`` does.
     """
     contribs = finite_array("contributions", contribs)
     shape = contribs.shape
@@ -198,8 +216,8 @@ def _statistics(contribs, n, blocks, quadratic):
             stat += s[:, c]
         return stat
 
-    size = _block_flips(_width(d))
-    return map(statistic, _signed_sums(blocks(size), contribs))
+    size = _block_flips(_width(d), n)
+    return map(statistic, _signed_sums(chunks(size, _BYTE_BLOCK), contribs))
 
 
 def _collect(blocks, w):
@@ -222,7 +240,7 @@ def flip_statistics_scalar(contribs, plan):
     ``contribs`` has shape (n,) or (n, 1).  Returns the (w,) array;
     entry 0 is the observed statistic.
     """
-    return _collect(_statistics(contribs, plan.n, plan.blocks, quadratic=False), plan.w)
+    return _collect(_statistics(contribs, plan.n, plan.chunks, quadratic=False), plan.w)
 
 
 def flip_statistics_quadratic(contribs, plan):
@@ -233,7 +251,7 @@ def flip_statistics_quadratic(contribs, plan):
     gives such contributions for V = A^-1.  Returns the (w,) array;
     entry 0 is the observed statistic.
     """
-    return _collect(_statistics(contribs, plan.n, plan.blocks, quadratic=True), plan.w)
+    return _collect(_statistics(contribs, plan.n, plan.chunks, quadratic=True), plan.w)
 
 
 def _floor_multiple(alpha, w):
@@ -369,8 +387,9 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     Fits the null model, forms per-observation score contributions
     (projected to effective scores unless ``method="basic"``), flips them
     w times and applies the decision rule, counting each block of flips
-    as it is summed; a with-replacement plan is drawn one block of flips
-    at a time, so only that block of it is held.  A single tested column
+    as it is summed; a with-replacement plan, and a without-replacement
+    one with n > 20 whose flips differ in their first 8 bytes, is drawn
+    a piece at a time, so only that piece of it is held.  A single tested column
     uses the scalar statistic; d > 1 uses the quadratic form with
     ``vhat`` either ``"identity"`` or ``"inv-effective-info"``, the
     latter by whitening the contributions with the effective information
@@ -383,10 +402,11 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
             raise DesignError(f"{name} must be one of {allowed}, got {value!r}")
     _check_rule(alpha, alternative)
     contribs = _contributions(y, design, family, method, vhat)
-    if mode == "with-replacement":  # drawn block by block, never held whole
-        blocks = partial(with_replacement_blocks, *check_plan(design.n, w, mode, seed))
+    n, w, seed = check_plan(design.n, w, mode, seed)
+    if streamable(n, w, mode, seed):  # drawn piece by piece, never held whole
+        chunks = partial(with_replacement_chunks, n, w, seed)
     else:  # distinct flips are found in the whole plan
-        blocks = make_flip_plan(design.n, w, mode=mode, seed=seed).blocks
-    stats = _statistics(contribs, design.n, blocks, quadratic=design.d > 1)
+        chunks = make_flip_plan(n, w, mode=mode, seed=seed).chunks
+    stats = _statistics(contribs, n, chunks, quadratic=design.d > 1)
     result = _decide(stats, alpha, alternative, None, None, f"flip-{method}")
-    return replace(result, w=w, seed=int(seed))
+    return replace(result, w=w, seed=seed)

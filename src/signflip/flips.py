@@ -13,10 +13,12 @@ signs.
 Flips come from one counter-based Philox stream keyed by (seed, plan
 stream), so the plan for a given (n, w, mode, seed) is identical
 regardless of how the downstream statistics are scheduled or chunked.
-A with-replacement plan can also be drawn block by block of flips
-(``with_replacement_blocks``), each plan row read from its own
-generator started at the row's first stream byte, so the whole plan
-is never held; ``make_flip_plan`` takes the same blocks.
+A with-replacement plan can also be drawn in pieces of a few plan
+bytes of one block of flips (``with_replacement_chunks``), so the whole
+plan is never held; ``make_flip_plan`` takes it as one piece.  A
+without-replacement plan with n > 20 is that same plan whenever the
+first 8 bytes of its flips all differ (``streamable``), so it can be
+drawn the same way.
 
 Modes
 -----
@@ -48,6 +50,7 @@ _EXHAUSTIVE_MAX_N = 20
 _SEED_MASK = (1 << 64) - 1
 _PLAN_STREAM = 0x666C6970  # distinguishes plan streams from other keyed streams
 _WORD = np.dtype("<u8")  # the stream's bytes are its words, little-endian
+_KEY_FLIPS = 1 << 13  # flips per block of key bytes, 64 KiB
 
 
 def _key(seed, stream):
@@ -99,9 +102,15 @@ class FlipPlan:
         bits = np.unpackbits(self.signs.T, axis=1, count=self.n, bitorder="little")
         return 1 - 2 * bits.astype(np.int8)
 
-    def blocks(self, size):
-        """Consecutive (ceil(n/8), m) column slices of ``signs``, m <= size."""
-        return (self.signs[:, s : s + size] for s in range(0, self.w, size))
+    def chunks(self, size, rows):
+        """The pieces ``with_replacement_chunks`` yields, sliced from ``signs``.
+
+        For each block of m <= size consecutive flips, its (<= rows, m)
+        slices in ascending row order.
+        """
+        nb = self.signs.shape[0]
+        return (self.signs[b0 : b0 + rows, s : s + size]
+                for s in range(0, self.w, size) for b0 in range(0, nb, rows))
 
 
 def _pack_codes(codes, n):
@@ -235,29 +244,36 @@ def check_plan(n, w, mode="with-replacement", seed=0):
     return n, w, seed
 
 
-def with_replacement_blocks(n, w, seed, size):
-    """Consecutive (ceil(n/8), m) blocks of the with-replacement plan, m <= size.
+def _walk(key, nb, w, rows):
+    """(0, b0, piece) for rows b0 .. of a one-block plan, read by one generator.
 
-    Concatenated, the blocks are ``make_flip_plan(n, w, seed=seed).signs``
-    byte for byte; n, w and seed are as ``check_plan`` returns them.  A
-    plan of at most ``size`` flips is one draw of the stream, returned
-    as a new array.  A longer one reads each plan row b from its own
-    generator started at stream byte b*w, takes the next m bytes of every
-    row for each block, and overwrites one (ceil(n/8), size) array, so a
-    block holds only until the next is drawn and nothing grows with w.
+    Rows b0 .. b0 + r - 1 are the consecutive stream bytes b0*w ..
+    (b0 + r)*w - 1, so one generator walks the stream piece by piece; the
+    bytes of its last word past a piece open the next piece.
     """
-    if w <= size:
-        signs = _random_flips(keyed_rng(seed, _PLAN_STREAM), n, w)
-        signs[:, 0] = 0
-        yield signs
-        return
-    nb = -(-n // 8)
-    key = _key(seed, _PLAN_STREAM)
-    # Row b is stream bytes b*w .. b*w + w - 1.  Philox gives four 64-bit
-    # words per counter value, so the row's generator starts at the
-    # counter of the word holding byte b*w and drops the words before
-    # that word.  tail[b] is the word drawn last for row b: a block that
-    # starts inside it, at byte (b*w + start) % 8, takes its rest first.
+    bits = np.random.Philox(key=key)
+    tail = np.empty(0, dtype=np.uint8)
+    for b0 in range(0, nb, rows):
+        k = min(rows, nb - b0) * w
+        raw = _stream_bytes(bits, -(-(k - tail.size) // 8))
+        if tail.size:
+            raw = np.concatenate((tail, raw))
+        tail = raw[k:].copy()  # not a view, which would keep the piece's bytes
+        yield 0, b0, raw[:k].reshape(-1, w)
+
+
+def _row_walk(key, nb, w, size, rows):
+    """(start, b0, piece) for each block of flips from ``start`` and its rows from b0.
+
+    Each plan row b has its own generator, started at stream byte b*w and
+    read on by m bytes for each block of m flips; the pieces overwrite
+    one (rows, size) array.
+    """
+    # Philox gives four 64-bit words per counter value, so row b's
+    # generator starts at the counter of the word holding byte b*w and
+    # drops the words before that word.  tail[b] is the word drawn last
+    # for row b: a block that starts inside it, at byte (b*w + start) % 8,
+    # takes its rest first.
     readers, tail = [], np.empty((nb, 8), dtype=np.uint8)
     for b in range(nb):
         word, skip = divmod(b * w, 8)
@@ -266,23 +282,73 @@ def with_replacement_blocks(n, w, seed, size):
         if skip:
             tail[b] = _stream_bytes(bits, 1)
         readers.append(bits)
-    block = np.empty((nb, size), dtype=np.uint8)
+    piece = np.empty((min(rows, nb), size), dtype=np.uint8)
     for start in range(0, w, size):
         m = min(size, w - start)
-        out = block[:, :m]
-        for b, bits in enumerate(readers):
-            skip = (b * w + start) % 8
-            k = min(m, 8 - skip) if skip else 0
-            if k:
-                out[b, :k] = tail[b, skip : skip + k]
-            if k < m:
-                raw = _stream_bytes(bits, -(-(m - k) // 8))
-                out[b, k:] = raw[: m - k]
-                tail[b] = raw[-8:]
-        _mask_padding(out, n)
+        for b0 in range(0, nb, rows):
+            out = piece[: min(rows, nb - b0), :m]
+            for b, row in enumerate(out, b0):
+                skip = (b * w + start) % 8
+                k = min(m, 8 - skip) if skip else 0
+                if k:
+                    row[:k] = tail[b, skip : skip + k]
+                if k < m:
+                    raw = _stream_bytes(readers[b], -(-(m - k) // 8))
+                    row[k:] = raw[: m - k]
+                    tail[b] = raw[-8:]
+            yield start, b0, out
+
+
+def with_replacement_chunks(n, w, seed, size, rows):
+    """The with-replacement plan in pieces of at most ``rows`` plan bytes.
+
+    For each block of m <= size consecutive flips, yields its
+    (<= rows, m) pieces in ascending row order; stacked, a block's pieces
+    are its columns of ``make_flip_plan(n, w, seed=seed).signs`` byte for
+    byte, with n, w and seed as ``check_plan`` returns them.  Row b of
+    the plan is stream bytes b*w .. b*w + w - 1.  A plan of at most
+    ``size`` flips is one block, read by one generator walking the
+    stream, and each piece is a new array.  A longer one reads each row
+    from its own generator and overwrites one (rows, size) array.  Either
+    way a piece holds only until the next is drawn, so nothing grows
+    with n or w.
+    """
+    nb = -(-n // 8)
+    key = _key(seed, _PLAN_STREAM)
+    walk = _walk(key, nb, w, rows) if w <= size else _row_walk(key, nb, w, size, rows)
+    for start, b0, out in walk:
+        if b0 + out.shape[0] == nb:
+            _mask_padding(out, n)
         if start == 0:
             out[:, 0] = 0
         yield out
+
+
+def streamable(n, w, mode, seed):
+    """Whether the checked plan is the with-replacement plan of (n, w, seed).
+
+    A with-replacement plan is.  A without-replacement plan with n > 20
+    is when the first min(8, ceil(n/8)) plan bytes differ between every
+    two of its flips, identity included: ``_sample_distinct`` then keeps
+    its first draw, which is the with-replacement plan.  These key bytes,
+    8 per flip, are read first, a block of ``_KEY_FLIPS`` flips at a
+    time; at n >= 64 two keys agree with probability about w^2 / 2^65.
+    """
+    if mode != "without-replacement":
+        return mode == "with-replacement"
+    if n <= _EXHAUSTIVE_MAX_N:
+        return False
+    keys = np.zeros(w, dtype=_WORD)  # as _keys: byte b of the key is plan byte b
+    key_bytes, start = keys.view(np.uint8).reshape(w, 8), 0
+    # the first 8 rows of the plan of n observations are those of min(n, 64)
+    for piece in with_replacement_chunks(min(n, 64), w, seed, _KEY_FLIPS, 8):
+        key_bytes[start : start + piece.shape[1], : piece.shape[0]] = piece.T
+        start += piece.shape[1]
+    keys.sort()
+    lower, upper = keys[:-1], keys[1:]
+    # a block at a time: a (w,) comparison would take a byte per flip more
+    return not any(np.any(lower[s : s + _KEY_FLIPS] == upper[s : s + _KEY_FLIPS])
+                   for s in range(0, w - 1, _KEY_FLIPS))
 
 
 def make_flip_plan(n, w, mode="with-replacement", seed=0):
@@ -294,7 +360,7 @@ def make_flip_plan(n, w, mode="with-replacement", seed=0):
     if mode == "exhaustive":
         signs = _pack_codes(np.arange(w), n)
     elif mode == "with-replacement":
-        signs = next(with_replacement_blocks(n, w, seed, w))
+        signs = next(with_replacement_chunks(n, w, seed, w, -(-n // 8)))
     elif n <= _EXHAUSTIVE_MAX_N:
         rng = keyed_rng(seed, _PLAN_STREAM)
         codes = np.zeros(w, dtype=np.int64)

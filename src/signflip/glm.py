@@ -30,6 +30,7 @@ __all__ = [
     "cholesky_lower",
     "solve_spd",
     "whiten",
+    "check_response",
 ]
 
 MAX_ITER = 100
@@ -225,7 +226,7 @@ def _irls(X, y, family, offset):
     raise NumericalError(f"IRLS did not converge in {MAX_ITER} iterations")
 
 
-def _response(y, design, family):
+def check_response(y, design, family):
     """``y`` as a finite float n-vector that ``family`` accepts as its response."""
     y = finite_array("response", y)
     if y.shape != (design.n,):
@@ -241,13 +242,13 @@ def fit_null(y, design, family):
     offset, so only the nuisance coefficients (including any intercept)
     are estimated.  At convergence the nuisance score sums vanish.
     """
-    y = _response(y, design, family)
+    y = check_response(y, design, family)
     return _irls(design.X_nuisance, y, family, design.fitting_offset)
 
 
 def fit_full(y, design, family):
     """Maximize the likelihood over all design columns."""
-    y = _response(y, design, family)
+    y = check_response(y, design, family)
     if np.linalg.matrix_rank(design.X) < design.k:
         raise DesignError("design matrix is rank deficient for the full fit")
     return _irls(design.X, y, family, design.offset)
@@ -278,7 +279,7 @@ def score_contributions(y, null_fit, design, family):
     Row i is x_i (y_i - mu_i) restricted to the respective column
     block, evaluated at the null fit (canonical link).
     """
-    y = _response(y, design, family)
+    y = check_response(y, design, family)
     resid = y - null_fit.mu_hat
     nu = design.X_tested * resid[:, None]
     nu_nuis = design.X_nuisance * resid[:, None]

@@ -219,9 +219,13 @@ def _poisson(rng, lam):
 
 
 def _negbin(rng, eta, theta):
-    mu = np.exp(eta)
-    lam = rng.gamma(shape=theta, scale=mu / theta)
-    return _poisson(rng, lam)
+    """Gamma-Poisson counts; NumericalError for a mean too large to draw from."""
+    with np.errstate(over="ignore"):
+        scale = np.exp(eta) / theta
+    if not np.isfinite(scale).all():
+        raise NumericalError("cannot draw negative-binomial counts: "
+                             "the gamma scale exp(eta)/theta overflows")
+    return _poisson(rng, rng.gamma(shape=theta, scale=scale))
 
 
 def gen_negbin_response(eta, theta, seed=0):
@@ -237,11 +241,16 @@ def gen_negbin_response(eta, theta, seed=0):
 
 
 def _hetero_normal(rng, n, mu, sigma_rule, sigma):
+    """Normal draws; NumericalError where mu + sd_i * z_i passes the double range."""
     if sigma_rule == "exp-index":
         sd = np.exp(np.arange(1, n + 1, dtype=float))
     else:
         sd = np.full(n, sigma)
-    return mu + sd * rng.standard_normal(n)
+    with np.errstate(over="ignore"):
+        y = mu + sd * rng.standard_normal(n)
+    if not np.isfinite(y).all():
+        raise NumericalError("normal draws overflow: mu + sd_i * z_i passes the double range")
+    return y
 
 
 def gen_hetero_normal(n, mu, sigma_rule="exp-index", sigma=1.0, seed=0):

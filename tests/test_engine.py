@@ -244,30 +244,42 @@ def test_with_replacement_plan_reads_keyed_stream_byte_major(n):
 
 
 @settings(max_examples=150, deadline=None)
-@example(n=80, w=299, seed=0, chunk=7)  # w % 8 != 0: rows start inside a word
-@example(n=80, w=36, seed=1, chunk=8)
-@example(n=80, w=40, seed=2, chunk=33)  # w % 32 != 0: inside a counter's 4 words
-@example(n=17, w=300, seed=3, chunk=33)
+@example(n=80, w=299, seed=0, chunk=7, rows=32)  # w % 8 != 0: rows start inside a word
+@example(n=80, w=36, seed=1, chunk=8, rows=32)
+@example(n=80, w=40, seed=2, chunk=33, rows=32)  # w % 32 != 0: inside a counter's 4 words
+@example(n=17, w=300, seed=3, chunk=33, rows=32)
+@example(n=600, w=299, seed=4, chunk=16384, rows=32)  # one block, one generator
+@example(n=600, w=299, seed=5, chunk=33, rows=32)  # n > 256, rows of their own
+@example(n=77, w=5, seed=6, chunk=16384, rows=5)  # pieces of 25 bytes: words split
 @given(
-    n=st.integers(1, 80),
+    n=st.integers(1, 80) | st.integers(257, 700),
     w=st.integers(2, 300),
     seed=st.integers(0, 2**32),
-    chunk=st.sampled_from([7, 8, 33]),
+    chunk=st.sampled_from([7, 8, 33, 16384]),
+    rows=st.sampled_from([1, 5, 32]),
 )
-def test_streamed_plan_blocks_are_the_plan_columns(n, w, seed, chunk):
-    # flip_test draws a with-replacement plan block by block, each row
-    # from its own generator; the blocks must be the plan's columns,
-    # padding masked and flip 0 cleared, however the blocks fall
+def test_streamed_plan_blocks_are_the_plan_columns(n, w, seed, chunk, rows):
+    # flip_test draws a with-replacement plan piece by piece, from one
+    # generator when it is one block of flips and from one per row when
+    # it is longer; stacked, the pieces must be the plan's columns,
+    # padding masked and flip 0 cleared, however the pieces fall
     import signflip.engine as engine
-    from signflip.flips import with_replacement_blocks
+    from signflip.flips import with_replacement_chunks
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", chunk)
-        size = engine._block_flips(1)
-    blocks = [b.copy() for b in with_replacement_blocks(n, w, seed, size)]
-    assert [b.shape[1] for b in blocks] == [min(size, w - s) for s in range(0, w, size)]
-    assert_array_equal(np.concatenate(blocks, axis=1),
-                       make_flip_plan(n, w, seed=seed).signs)
+        size = engine._block_flips(1, n)
+    nb = -(-n // 8)
+    pieces = [c.copy() for c in with_replacement_chunks(n, w, seed, size, rows)]
+    assert [c.shape for c in pieces] == [
+        (min(rows, nb - b0), min(size, w - s))
+        for s in range(0, w, size) for b0 in range(0, nb, rows)]
+    per_block = -(-nb // rows)
+    blocks = [np.concatenate(pieces[i : i + per_block])
+              for i in range(0, len(pieces), per_block)]
+    plan = make_flip_plan(n, w, seed=seed)
+    assert_array_equal(np.concatenate(blocks, axis=1), plan.signs)
+    assert [c.tobytes() for c in plan.chunks(size, rows)] == [c.tobytes() for c in pieces]
 
 
 def test_first_row_is_identity_in_all_modes():
@@ -400,8 +412,8 @@ def _all_sums(plan, contribs):
     """The signed sums of every flip, copied from each block as it comes."""
     import signflip.engine as engine
 
-    blocks = plan.blocks(engine._CHUNK)
-    return np.concatenate([b.copy() for b in engine._signed_sums(blocks, contribs)])
+    chunks = plan.chunks(engine._CHUNK, engine._BYTE_BLOCK)
+    return np.concatenate([b.copy() for b in engine._signed_sums(chunks, contribs)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -434,9 +446,10 @@ def test_lookup_kernel_matches_dense_product(n, d, w, seed, mode):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", 7)
         # every plan is summed 7 flips at a time, however long it is, and
-        # rows wider than 4 in blocks of no more bytes: 28 // width flips
-        m = min(7, 28 // width)
-        sizes = [len(t) for t in engine._statistics(contribs, n, plan.blocks, True)]
+        # rows wider than 4 in blocks of no more bytes: 28 // width flips,
+        # unless the plan rebuilds its tables for each block (n > 256)
+        m = min(7, 28 // width) if n <= 256 else 7
+        sizes = [len(t) for t in engine._statistics(contribs, n, plan.chunks, True)]
         assert sizes == [min(m, w - s) for s in range(0, w, m)]
         assert_array_equal(_all_sums(plan, contribs), got)
         # byte-table blocks of any size give the same sums bit for bit
@@ -550,6 +563,18 @@ def test_quadratic_flip_test_peak_memory_at_n_50_does_not_grow_with_w():
     assert large <= 2**21
 
 
+def _n2000_quadratic():
+    """Poisson data, n = 2000, three tested columns and one nuisance column."""
+    rng = np.random.default_rng(101)
+    n = 2000
+    X = rng.normal(size=(n, 4))
+    y = rng.poisson(np.exp(0.3 + 0.2 * X[:, 3])).astype(float)
+    design = build_design({f"x{i}": X[:, i] for i in range(4)},
+                          tested=["x0", "x1", "x2"], nuisance=["x3"],
+                          intercept=True)
+    return n, y, design
+
+
 def test_quadratic_flip_test_peak_memory_is_one_plan_block_and_the_padded_sums():
     # n = 2000 is eight blocks of byte tables, built again for each block
     # of flips: three tested columns are summed in rows of four, and one
@@ -558,18 +583,25 @@ def test_quadratic_flip_test_peak_memory_is_one_plan_block_and_the_padded_sums()
     # plan would add 15 MB between the two w, and all w statistics 480 KB
     import signflip.engine as engine
 
-    rng = np.random.default_rng(101)
-    n = 2000
-    X = rng.normal(size=(n, 4))
-    y = rng.poisson(np.exp(0.3 + 0.2 * X[:, 3])).astype(float)
-    design = build_design({f"x{i}": X[:, i] for i in range(4)},
-                          tested=["x0", "x1", "x2"], nuisance=["x3"],
-                          intercept=True)
+    n, y, design = _n2000_quadratic()
     small, large = _flip_test_peaks(y, design, ws=(20_000, 80_000),
                                     vhat="inv-effective-info")
     assert abs(large - small) <= 2**16
     block = engine._CHUNK
     assert large <= -(-n // 8) * block + 8 * block * 4 + 8 * block + 2**20
+
+
+def test_without_replacement_flip_test_peak_memory_grows_by_the_keys_alone():
+    # at n > 20 the first 8 plan bytes of every flip are read whole, as
+    # one uint64 key each, and sorted; the keys all differ, so the plan
+    # is the with-replacement stream, drawn a piece at a time; holding
+    # the plan would add 15 MB between the two w
+    ws = (20_000, 80_000)
+    n, y, design = _n2000_quadratic()
+    small, large = _flip_test_peaks(y, design, ws=ws, vhat="inv-effective-info",
+                                    mode="without-replacement")
+    assert large - small <= 8 * (ws[1] - ws[0]) + 2**16
+    assert large <= 8 * ws[1] + 2**21
 
 
 def test_wide_quadratic_blocks_are_sized_by_bytes():
@@ -932,7 +964,7 @@ def test_flip_test_refuses_a_plan_past_memory_before_any_flip_is_drawn(monkeypat
     def unreachable(*args, **kwargs):
         raise AssertionError("a flip was drawn or summed")
 
-    monkeypatch.setattr(engine, "with_replacement_blocks", unreachable)
+    monkeypatch.setattr(engine, "with_replacement_chunks", unreachable)
     monkeypatch.setattr(engine, "_signed_sums", unreachable)
     table = warpbreaks()
     design = build_design({"wool": table["wool"], "tension": table["tension"]},
@@ -989,6 +1021,65 @@ def test_flip_test_counts_blocks_as_decide_counts_the_statistics(
                  else flip_statistics_quadratic(contribs, plan))
     want = decide(stats, alpha, alternative, method="flip-effective")
     assert got == replace(want, w=w, seed=seed)
+
+
+@pytest.mark.parametrize("n, held", [(21, True), (70, False)])
+def test_without_replacement_flip_test_holds_the_plan_only_when_keys_repeat(
+        monkeypatch, n, held):
+    # at n = 21 and w = 4000 the first draw repeats a flip for seeds 0-2,
+    # so the sampler draws again and flip_test reads the held plan; at
+    # n = 70 the keys differ and the plan is the with-replacement stream
+    import signflip.engine as engine
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make_flip_plan(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "make_flip_plan", counted)
+    w, family = 4000, Gaussian()
+    rng = np.random.default_rng(n)
+    design = build_design({"x": rng.normal(size=n)}, tested=["x"], intercept=True)
+    y = rng.normal(size=n)
+    contribs = effective_contributions(
+        score_contributions(y, fit_null(y, design, family), design, family))
+    for seed in range(3):
+        got = flip_test(y, design, family, w=w, mode="without-replacement", seed=seed)
+        plan = make_flip_plan(n, w, mode="without-replacement", seed=seed)
+        stream = make_flip_plan(n, w, seed=seed).signs
+        assert np.array_equal(plan.signs, stream) != held
+        want = decide(flip_statistics_scalar(contribs, plan), 0.05, "two-sided-abs",
+                      method="flip-effective")
+        assert got == replace(want, w=w, seed=seed)
+    assert len(calls) == (3 if held else 0)
+
+
+def test_long_plans_rebuild_their_tables_for_blocks_of_at_least_1024_flips(
+        monkeypatch):
+    # n = 300 is two blocks of byte tables, both built again for each
+    # block of flips; at d = 200 blocks sized by bytes alone hold 327
+    # flips, against the 256 table rows built per plan byte; blocks of
+    # at least 1024 flips build the tables at most 2 * ceil(w / 1024)
+    # times, where 327 would build them 32 times
+    import signflip.engine as engine
+
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return tables(*args)
+
+    tables = engine._byte_tables
+    monkeypatch.setattr(engine, "_byte_tables", counted)
+    n, d, w = 300, 200, 5000
+    rng = np.random.default_rng(113)
+    X = rng.normal(size=(n, d))
+    design = build_design({f"x{i}": X[:, i] for i in range(d)},
+                          tested=[f"x{i}" for i in range(d)], intercept=True)
+    y = rng.poisson(1.0, size=n).astype(float)
+    flip_test(y, design, Poisson(), w=w, seed=7)
+    assert len(builds) <= 2 * -(-w // 1024)
 
 
 def test_flip_test_multivariate_paths():

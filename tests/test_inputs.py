@@ -40,6 +40,7 @@ from signflip import (
     parametric_score_test,
     rao_test,
     run_scenario,
+    sandwich_estimate,
     scenario_config,
     score_contributions,
 )
@@ -53,6 +54,7 @@ _Y = _rng.poisson(np.exp(0.3 + 0.4 * _Z)).astype(float)
 _DESIGN = build_design({"x": _X, "z": _Z}, tested=["x"], nuisance=["z"])
 _FAM = Poisson()
 _NULL_FIT = fit_null(_Y, _DESIGN, _FAM)
+_FULL_FIT = fit_full(_Y, _DESIGN, _FAM)
 _SCORES = score_contributions(_Y, _NULL_FIT, _DESIGN, _FAM)
 _PLAN = make_flip_plan(N, 16, seed=2)
 
@@ -65,6 +67,8 @@ _CASES = {
     "fit_full y": ("finite", _Y, lambda v: fit_full(v, _DESIGN, _FAM)),
     "score_contributions y": (
         "finite", _Y, lambda v: score_contributions(v, _NULL_FIT, _DESIGN, _FAM)),
+    "sandwich_estimate y": (
+        "finite", _Y, lambda v: sandwich_estimate(v, _FULL_FIT, _DESIGN, _FAM)),
     "flip_test y": ("finite", _Y, lambda v: flip_test(v, _DESIGN, _FAM, w=16)),
     "flip_test alpha": ("finite", 0.05, lambda v: flip_test(_Y, _DESIGN, _FAM, w=16, alpha=v)),
     "flip_test w": ("int", 16, lambda v: flip_test(_Y, _DESIGN, _FAM, w=v)),
@@ -198,6 +202,7 @@ def _poisoned(valid, junk, index):
 @example(case="gen_mvn_covariates n", junk=-3, poison=False, index=0)
 @example(case="gen_negbin_response theta", junk="x", poison=False, index=0)
 @example(case="gen_negbin_response eta", junk=3.7, poison=False, index=0)
+@example(case="sandwich_estimate y", junk=["a"] * N, poison=False, index=0)
 # accepted at the parent and reinterpreted, or failing later with a warning
 @example(case="Binomial trials", junk=math.inf, poison=False, index=0)
 @example(case="DesignMatrix tested index", junk=1.5, poison=False, index=0)
@@ -270,6 +275,42 @@ def test_one_sample_t_overflow_is_a_numerical_error_without_a_warning():
     y = np.exp(np.arange(1.0, 401.0))
     with pytest.raises(NumericalError, match="overflows"):
         _quiet(lambda: one_sample_t(y))
+
+
+def test_sandwich_estimate_checks_its_response_as_the_fits_do():
+    # a response of the wrong length broadcast against the fitted means
+    # and gave a covariance
+    full_fit = fit_full(_Y, _DESIGN, _FAM)
+    with pytest.raises(DesignError, match=r"response has shape \(1,\), expected \(12,\)"):
+        sandwich_estimate([1.0], full_fit, _DESIGN, _FAM)
+    with pytest.raises(DesignError, match="response must be"):
+        sandwich_estimate(["a"] * N, full_fit, _DESIGN, _FAM)
+
+
+def test_negbin_overflow_is_a_numerical_error_without_a_warning():
+    # exp(800) overflows: the draw came from an infinite mean, with a warning
+    with pytest.raises(NumericalError, match="overflows"):
+        _quiet(lambda: gen_negbin_response([800.0], 1.0))
+    with pytest.raises(NumericalError, match="overflows"):
+        _quiet(lambda: gen_negbin_response([700.0], 1e-300))
+
+
+def test_exp_index_draws_that_overflow_are_a_numerical_error_without_a_warning():
+    # at n = 709 sd_n * z passes the double range once |z| > 1.8e308 / e^709;
+    # a seed whose draws stay finite keeps them as they were
+    failed = 0
+    for seed in range(20):
+        z = keyed_rng(seed).standard_normal(709)
+        with np.errstate(over="ignore"):
+            want = 0.0 + np.exp(np.arange(1.0, 710.0)) * z
+        if np.isfinite(want).all():
+            np.testing.assert_array_equal(_quiet(lambda: gen_hetero_normal(709, 0.0, seed=seed)),
+                                          want)
+        else:
+            failed += 1
+            with pytest.raises(NumericalError, match="overflow"):
+                _quiet(lambda: gen_hetero_normal(709, 0.0, seed=seed))
+    assert failed
 
 
 def test_hetero_t_at_large_n_fails_instead_of_reporting_a_zero_rate():
