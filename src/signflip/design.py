@@ -121,11 +121,15 @@ def _resolve(names, single, groups):
     labels = []
     for name in names:
         if name in groups:
-            labels.extend(groups[name])
+            found = groups[name]
         elif name in single:
-            labels.append(name)
+            found = [name]
         else:
             raise DesignError(f"unknown column {name!r}")
+        for label in found:
+            if label in labels:
+                raise DesignError(f"column {label!r} is requested twice")
+            labels.append(label)
     return labels
 
 

@@ -52,11 +52,11 @@ def finite_array(name, value, ndim=None):
     return values
 
 
-def integer(name, value, low=None):
+def integer(name, value, low=None, high=None):
     """``value`` as an int, numpy integers included.
 
     DesignError for anything else, bool and floats included, and for a
-    value below ``low`` when it is given.
+    value below ``low`` or above ``high`` when they are given.
     """
     if not isinstance(value, (bool, np.bool_)):
         try:
@@ -66,6 +66,8 @@ def integer(name, value, low=None):
         else:
             if low is not None and value < low:
                 raise DesignError(f"{name} must be at least {low}, got {value}")
+            if high is not None and value > high:
+                raise DesignError(f"{name} must be at most {high}, got {value}")
             return value
     raise DesignError(f"{name} must be an integer, got {value!r}")
 

@@ -11,14 +11,15 @@ run.  ``FlipPlan.dense()`` unpacks it into the w-by-n matrix of +-1
 signs.
 
 Flips come from one counter-based Philox stream keyed by (seed, plan
-stream), so the plan for a given (n, w, mode, seed) is identical
-regardless of how the downstream statistics are scheduled or chunked.
-A with-replacement plan can also be drawn in pieces of a few plan
-bytes of one block of flips (``with_replacement_chunks``), so the whole
-plan is never held; ``make_flip_plan`` takes it as one piece.  A
-without-replacement plan with n > 20 is that same plan whenever the
-first 8 bytes of its flips all differ (``streamable``), so it can be
-drawn the same way.
+stream), each in [0, 2^64), so the plan for a given (n, w, mode, seed)
+is identical regardless of how the downstream statistics are scheduled
+or chunked.  A with-replacement plan can also be drawn in pieces of a
+few plan bytes of one block of flips (``with_replacement_chunks``), so
+the whole plan is never held; ``make_flip_plan`` takes it as one piece.
+Each piece is read by ``_Reader``, the one reader of the stream from
+any byte on.  A without-replacement plan with n > 20 is that same plan
+whenever the first 8 bytes of its flips all differ (``streamable``), so
+it can be drawn the same way.
 
 Modes
 -----
@@ -47,16 +48,16 @@ __all__ = ["FlipPlan", "make_flip_plan", "MODES"]
 MODES = ("with-replacement", "without-replacement", "exhaustive")
 
 _EXHAUSTIVE_MAX_N = 20
-_SEED_MASK = (1 << 64) - 1
+SEED_MAX = (1 << 64) - 1  # a seed or stream is one 64-bit word of the Philox key
 _PLAN_STREAM = 0x666C6970  # distinguishes plan streams from other keyed streams
 _WORD = np.dtype("<u8")  # the stream's bytes are its words, little-endian
 _KEY_FLIPS = 1 << 13  # flips per block of key bytes, 64 KiB
 
 
 def _key(seed, stream):
-    """The Philox key of the integers (seed, stream)."""
-    return np.array([np.uint64(integer("seed", seed) & _SEED_MASK),
-                     np.uint64(integer("stream", stream) & _SEED_MASK)])
+    """The Philox key of the integers (seed, stream), each in [0, 2^64)."""
+    return np.array([integer("seed", seed, 0, SEED_MAX),
+                     integer("stream", stream, 0, SEED_MAX)], dtype=np.uint64)
 
 
 def keyed_rng(seed, stream=0):
@@ -96,6 +97,23 @@ class FlipPlan:
     mode: str
     seed: int
     signs: np.ndarray  # (ceil(n/8), w) uint8, byte-major
+
+    def __post_init__(self):
+        """DesignError unless the fields are a plan the kernels can read.
+
+        (n, w, mode, seed) must pass ``check_plan``, which also makes n, w
+        and seed ints; signs must be a (ceil(n/8), w) uint8 array whose
+        column 0 is the identity flip.
+        """
+        for name, value in zip(("n", "w", "seed"),
+                               check_plan(self.n, self.w, self.mode, self.seed)):
+            object.__setattr__(self, name, value)
+        shape, signs = (-(-self.n // 8), self.w), self.signs
+        if (not isinstance(signs, np.ndarray) or signs.dtype != np.uint8
+                or signs.shape != shape):
+            raise DesignError(f"plan signs must be a {shape} uint8 array")
+        if np.count_nonzero(signs[:, 0]):  # a third of the time of .any()
+            raise DesignError("plan flip 0 must be the identity, with no bit set")
 
     def dense(self):
         """The (w, n) int8 matrix of +-1 signs; row 0 is all +1."""
@@ -221,13 +239,14 @@ def _sample_distinct(rng, n, w):
 def check_plan(n, w, mode="with-replacement", seed=0):
     """(n, w, seed) as ints, once every check of ``make_flip_plan`` has passed.
 
-    Raises DesignError when n, w or seed is not an integer, when n < 1
-    or w < 2, when the plan's w * ceil(n/8) bytes exceed physical memory
-    (a streamed plan of that size would not end either), when
+    Raises DesignError when n, w or seed is not an integer, when n < 1,
+    w < 2 or the seed is outside [0, 2^64), when the plan's w * ceil(n/8)
+    bytes exceed physical memory (a streamed plan of that size would not
+    end either), when
     without-replacement is asked for more rows than 2^n, or when
     exhaustive is requested with n > 20 or w != 2^n.
     """
-    n, w, seed = integer("n", n, 1), integer("w", w, 2), integer("seed", seed)
+    n, w, seed = integer("n", n, 1), integer("w", w, 2), integer("seed", seed, 0, SEED_MAX)
     if mode not in MODES:
         raise DesignError(f"unknown flip mode {mode!r}; choose from {MODES}")
     # w > 2^n, without forming 2^n for a huge n
@@ -244,59 +263,27 @@ def check_plan(n, w, mode="with-replacement", seed=0):
     return n, w, seed
 
 
-def _walk(key, nb, w, rows):
-    """(0, b0, piece) for rows b0 .. of a one-block plan, read by one generator.
+class _Reader:
+    """The keyed stream's bytes from byte ``start`` on, read k bytes at a time.
 
-    Rows b0 .. b0 + r - 1 are the consecutive stream bytes b0*w ..
-    (b0 + r)*w - 1, so one generator walks the stream piece by piece; the
-    bytes of its last word past a piece open the next piece.
+    Philox gives four 64-bit words, 32 bytes, per counter value, so the
+    reader starts at the counter of byte ``start`` and draws the words up
+    to the one holding that byte.  The bytes of the last word drawn that
+    no read has taken yet open the next read.
     """
-    bits = np.random.Philox(key=key)
-    tail = np.empty(0, dtype=np.uint8)
-    for b0 in range(0, nb, rows):
-        k = min(rows, nb - b0) * w
-        raw = _stream_bytes(bits, -(-(k - tail.size) // 8))
-        if tail.size:
-            raw = np.concatenate((tail, raw))
-        tail = raw[k:].copy()  # not a view, which would keep the piece's bytes
-        yield 0, b0, raw[:k].reshape(-1, w)
 
+    def __init__(self, key, start=0):
+        counter, skip = divmod(start, 32)
+        self._bits = np.random.Philox(key=key, counter=counter)
+        self._tail = _stream_bytes(self._bits, -(-skip // 8))[skip:]
 
-def _row_walk(key, nb, w, size, rows):
-    """(start, b0, piece) for each block of flips from ``start`` and its rows from b0.
-
-    Each plan row b has its own generator, started at stream byte b*w and
-    read on by m bytes for each block of m flips; the pieces overwrite
-    one (rows, size) array.
-    """
-    # Philox gives four 64-bit words per counter value, so row b's
-    # generator starts at the counter of the word holding byte b*w and
-    # drops the words before that word.  tail[b] is the word drawn last
-    # for row b: a block that starts inside it, at byte (b*w + start) % 8,
-    # takes its rest first.
-    readers, tail = [], np.empty((nb, 8), dtype=np.uint8)
-    for b in range(nb):
-        word, skip = divmod(b * w, 8)
-        bits = np.random.Philox(key=key, counter=word // 4)
-        bits.random_raw(word % 4)
-        if skip:
-            tail[b] = _stream_bytes(bits, 1)
-        readers.append(bits)
-    piece = np.empty((min(rows, nb), size), dtype=np.uint8)
-    for start in range(0, w, size):
-        m = min(size, w - start)
-        for b0 in range(0, nb, rows):
-            out = piece[: min(rows, nb - b0), :m]
-            for b, row in enumerate(out, b0):
-                skip = (b * w + start) % 8
-                k = min(m, 8 - skip) if skip else 0
-                if k:
-                    row[:k] = tail[b, skip : skip + k]
-                if k < m:
-                    raw = _stream_bytes(readers[b], -(-(m - k) // 8))
-                    row[k:] = raw[: m - k]
-                    tail[b] = raw[-8:]
-            yield start, b0, out
+    def read(self, k):
+        """The next k bytes, as a new array."""
+        raw = _stream_bytes(self._bits, -(-(k - self._tail.size) // 8))
+        if self._tail.size:
+            raw = np.concatenate((self._tail, raw))
+        self._tail = raw[k:].copy()  # not a view, which would keep the read's bytes
+        return raw[:k]
 
 
 def with_replacement_chunks(n, w, seed, size, rows):
@@ -307,21 +294,32 @@ def with_replacement_chunks(n, w, seed, size, rows):
     are its columns of ``make_flip_plan(n, w, seed=seed).signs`` byte for
     byte, with n, w and seed as ``check_plan`` returns them.  Row b of
     the plan is stream bytes b*w .. b*w + w - 1.  A plan of at most
-    ``size`` flips is one block, read by one generator walking the
-    stream, and each piece is a new array.  A longer one reads each row
-    from its own generator and overwrites one (rows, size) array.  Either
-    way a piece holds only until the next is drawn, so nothing grows
-    with n or w.
+    ``size`` flips is one block, whose rows are consecutive stream bytes:
+    one reader reads each piece whole, as a new array.  A longer plan
+    reads each row's m bytes from the row's own reader into one reused
+    (rows, size) array.  Either way a piece holds only until the next is
+    drawn, so nothing grows with n or w.
     """
     nb = -(-n // 8)
     key = _key(seed, _PLAN_STREAM)
-    walk = _walk(key, nb, w, rows) if w <= size else _row_walk(key, nb, w, size, rows)
-    for start, b0, out in walk:
-        if b0 + out.shape[0] == nb:
-            _mask_padding(out, n)
-        if start == 0:
-            out[:, 0] = 0
-        yield out
+    one_block = w <= size  # a Philox costs ~20 us to make: one reader, not nb
+    readers = [_Reader(key)] if one_block else [_Reader(key, b * w) for b in range(nb)]
+    piece = None if one_block else np.empty((min(rows, nb), size), dtype=np.uint8)
+    for start in range(0, w, size):
+        m = min(size, w - start)
+        for b0 in range(0, nb, rows):
+            r = min(rows, nb - b0)
+            if one_block:
+                out = readers[0].read(r * w).reshape(r, w)
+            else:
+                out = piece[:r, :m]
+                for b, row in enumerate(out, b0):
+                    row[:] = readers[b].read(m)
+            if b0 + r == nb:
+                _mask_padding(out, n)
+            if start == 0:
+                out[:, 0] = 0
+            yield out
 
 
 def streamable(n, w, mode, seed):

@@ -38,7 +38,7 @@ from .engine import (
 )
 from .exceptions import DesignError, NumericalError, finite_array, integer, real_array
 from .families import Poisson
-from .flips import keyed_rng, make_flip_plan, require_memory
+from .flips import SEED_MAX, keyed_rng, make_flip_plan, require_memory
 from .glm import cholesky_lower, fit_null, score_contributions
 
 __all__ = [
@@ -108,8 +108,9 @@ class SimConfig:
                 f"unknown scenario {self.scenario!r}; valid names: "
                 + ", ".join(SCENARIOS)
             )
-        for name, low in (("n", 1), ("reps", 1), ("w", 2), ("seed", None)):
-            setattr(self, name, integer(name, getattr(self, name), low))
+        for name, low, high in (("n", 1, None), ("reps", 1, None), ("w", 2, None),
+                                ("seed", 0, SEED_MAX)):
+            setattr(self, name, integer(name, getattr(self, name), low, high))
         for name in ("gamma0_latent", "rho", "sigma"):
             setattr(self, name, float(finite_array(name, getattr(self, name), ndim=0)))
         if self.theta is not None:

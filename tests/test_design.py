@@ -77,6 +77,19 @@ def test_unknown_and_constant_columns_rejected():
         build_design({"x": np.zeros(0)}, tested=["x"])
 
 
+@pytest.mark.parametrize("tested, nuisance, label", [
+    (["wool", "wool"], ["tension"], "woolB"),  # once a quadratic test of woolB twice
+    (["tension", "tensionM"], [], "tensionM"),
+    (["wool"], ["z", "z"], "z"),  # once refused as rank deficient
+], ids=["wool twice", "tension and tensionM", "z twice"])
+def test_a_column_requested_twice_is_refused(tested, nuisance, label):
+    table = warpbreaks()
+    table = {"wool": table["wool"], "tension": table["tension"],
+             "z": np.linspace(0.0, 1.0, 54)}
+    with pytest.raises(DesignError, match=f"column '{label}' is requested twice"):
+        build_design(table, tested=tested, nuisance=nuisance)
+
+
 def test_tested_and_nuisance_partition_columns():
     rng = np.random.default_rng(1)
     table = {"a": rng.normal(size=8), "b": rng.normal(size=8), "g": np.repeat(["u", "v"], 4)}

@@ -121,6 +121,52 @@ def test_keyed_streams_need_integer_keys():
     assert keyed_rng(np.int32(3), np.int8(1)).random() == keyed_rng(3, 1).random()
 
 
+@pytest.mark.parametrize("seed", [2**64, -1, 2**70])
+def test_seeds_outside_a_key_word_are_refused_not_wrapped(seed):
+    # 2^64 used to name seed 0's plan, and -1 that of 2^64 - 1
+    from signflip.flips import keyed_rng
+
+    design = build_design({"x": np.arange(6.0)}, tested=["x"])
+    for call in (lambda: make_flip_plan(5, 8, seed=seed),
+                 lambda: make_flip_plan(4, 16, mode="exhaustive", seed=seed),
+                 lambda: keyed_rng(seed),
+                 lambda: flip_test(np.arange(6.0), design, Gaussian(), w=8, seed=seed)):
+        with pytest.raises(DesignError, match="seed must be at"):
+            call()
+    with pytest.raises(DesignError, match="stream must be at"):
+        keyed_rng(0, seed)
+    assert make_flip_plan(5, 8, seed=2**64 - 1).seed == 2**64 - 1
+
+
+def _hand_built_plans():
+    """Field changes that each broke a hand-built FlipPlan, by name."""
+    signs = make_flip_plan(54, 200, seed=5).signs
+    wide, moved = signs.astype(np.int64), signs.copy()
+    wide[-1, 1], moved[0, 0] = 300, 1
+    return {
+        "extra row": {"signs": np.vstack((signs, signs[:1]))},  # was a bare IndexError
+        "w": {"w": 199},  # ValueError
+        "int64 signs": {"signs": wide},  # IndexError
+        "list": {"signs": signs.tolist()},  # AttributeError
+        "float n": {"n": 54.0},  # accepted
+        "column 0": {"signs": moved},  # accepted, with T_1 moved
+        "mode": {"mode": "bootstrap"},
+        "seed": {"seed": -1},
+    }
+
+
+_HAND_BUILT = _hand_built_plans()
+
+
+@pytest.mark.parametrize("case", sorted(_HAND_BUILT))
+def test_hand_built_plans_are_checked_before_a_kernel_reads_them(case):
+    plan = make_flip_plan(54, 200, seed=5)
+    contribs = np.linspace(-1.0, 1.0, 54)
+    flip_statistics_scalar(contribs, replace(plan))
+    with pytest.raises(DesignError):
+        flip_statistics_scalar(contribs, replace(plan, **_HAND_BUILT[case]))
+
+
 def test_without_replacement_rejects_w_above_two_to_the_n_for_any_n():
     with pytest.raises(DesignError, match="2\\^n"):
         make_flip_plan(21, 2**21 + 2, mode="without-replacement")
@@ -280,6 +326,24 @@ def test_streamed_plan_blocks_are_the_plan_columns(n, w, seed, chunk, rows):
     plan = make_flip_plan(n, w, seed=seed)
     assert_array_equal(np.concatenate(blocks, axis=1), plan.signs)
     assert [c.tobytes() for c in plan.chunks(size, rows)] == [c.tobytes() for c in pieces]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 100),
+       sizes=st.lists(st.integers(0, 40), max_size=12))
+def test_reader_reads_the_keyed_stream_from_any_byte(seed, start, sizes):
+    # one reader serves every plan piece: its reads, concatenated, are
+    # the stream's little-endian bytes from byte start on, however they fall
+    from signflip.flips import _Reader, _key
+
+    key = _key(seed, 9)
+    reader = _Reader(key, start)
+    reads = [reader.read(k) for k in sizes]
+    assert [r.shape for r in reads] == [(k,) for k in sizes]
+    words = np.random.Philox(key=key).random_raw(-(-(start + sum(sizes)) // 8) + 1)
+    stream = np.frombuffer(words.astype("<u8").tobytes(), dtype=np.uint8)
+    got = np.concatenate([np.empty(0, np.uint8), *reads])
+    assert_array_equal(got, stream[start : start + sum(sizes)])
 
 
 def test_first_row_is_identity_in_all_modes():

@@ -298,6 +298,14 @@ def test_read_config_file(tmp_path):
         read_config_file(tmp_path / "missing.txt")
 
 
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_config_seed_outside_a_key_word_is_refused_before_any_repetition(seed):
+    # a seed of 2^64 used to run seed 0's repetitions under its own name
+    with pytest.raises(DesignError, match="seed must be at"):
+        scenario_config("hetero-t", reps=1, seed=seed)
+    assert scenario_config("hetero-t", reps=1, seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_config_validation():
     with pytest.raises(DesignError, match="strictly increasing"):
         scenario_config("hetero-t", alpha_grid=np.array([0.2, 0.1]))
