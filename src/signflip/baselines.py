@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _TWO_SIDED = ("two-sided", "two-sided-abs")
+ALTERNATIVES = ("greater", "less", *_TWO_SIDED)
 
 
 def _result(statistic, p, alpha, alternative, method):
@@ -42,15 +43,22 @@ def _result(statistic, p, alpha, alternative, method):
                       alpha=float(alpha), alternative=alternative, method=method)
 
 
+def _check_rule(alpha, alternative, method, d=1):
+    """Refuse an alpha outside (0, 1), an unknown alternative and a one-sided d > 1 test."""
+    check_alpha(alpha)
+    if alternative not in ALTERNATIVES:
+        raise DesignError(f"unknown alternative {alternative!r}")
+    if d > 1 and alternative not in _TWO_SIDED:
+        raise DesignError(f"the d-dimensional {method} test is two-sided only")
+
+
 def _tail_p(stat, alternative, cdf):
     """p-value of stat under a symmetric null with lower-tail function cdf."""
     if alternative == "greater":
         return float(cdf(-stat))
     if alternative == "less":
         return float(cdf(stat))
-    if alternative in _TWO_SIDED:
-        return float(2.0 * cdf(-abs(stat)))
-    raise DesignError(f"unknown alternative {alternative!r}")
+    return float(2.0 * cdf(-abs(stat)))
 
 
 def _normal_or_chi2(u, cov, alternative, alpha, method):
@@ -67,8 +75,6 @@ def _normal_or_chi2(u, cov, alternative, alpha, method):
         statistic = float(u[0]) / np.sqrt(var)
         p = _tail_p(statistic, alternative, ndtr)
     else:
-        if alternative not in _TWO_SIDED:
-            raise DesignError(f"the d-dimensional {method} test is two-sided only")
         statistic = float(u @ solve_spd(cov, u))
         # chi2.sf is 1 below 0, where chdtrc gives NaN
         p = float(chdtrc(d, max(statistic, 0.0)))
@@ -99,7 +105,7 @@ def rao_test(scores, alternative="two-sided", alpha=0.05):
     z = S*/sqrt(I*), referred to the standard normal; for d > 1 it is
     S*' (I*)^-1 S* with a chi-squared d upper tail (two-sided only).
     """
-    check_alpha(alpha)
+    _check_rule(alpha, alternative, "parametric-score", scores.nu.shape[1])
     n = scores.nu.shape[0]
     s_star = scores.nu.sum(axis=0) / np.sqrt(n)  # equals the effective score at the MLE
     return _normal_or_chi2(s_star, scores.effective_information(), alternative, alpha,
@@ -108,6 +114,7 @@ def rao_test(scores, alternative="two-sided", alpha=0.05):
 
 def parametric_score_test(y, design, family, alternative="two-sided", alpha=0.05):
     """Fit the null model and run ``rao_test`` on its score contributions."""
+    _check_rule(alpha, alternative, "parametric-score", design.d)
     null_fit = fit_null(y, design, family)
     scores = score_contributions(y, null_fit, design, family)
     return rao_test(scores, alternative, alpha)
@@ -120,7 +127,7 @@ def sandwich_wald_test(y, design, family, alternative="two-sided", alpha=0.05):
     normal; d > 1 uses the quadratic form with a chi-squared d reference
     (two-sided only).
     """
-    check_alpha(alpha)
+    _check_rule(alpha, alternative, "sandwich-wald", design.d)
     full_fit = fit_full(y, design, family)
     vcov = sandwich_estimate(y, full_fit, design, family)
     idx = list(design.tested)
@@ -136,7 +143,7 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05):
     t = (beta_hat - beta0) / sqrt(phi_hat * [ (X'WX)^-1 ]_DD) is referred
     to Student's t on n - k degrees of freedom.
     """
-    check_alpha(alpha)
+    _check_rule(alpha, alternative, "quasi-poisson")
     if family.name != "poisson":
         raise DesignError("quasi_score_test requires the poisson family")
     if design.d != 1:
@@ -170,7 +177,7 @@ def one_sample_t(y, mu0=0.0, alternative="two-sided", alpha=0.05):
     sample sd or the statistic in double precision, which raises
     NumericalError rather than a warning.
     """
-    check_alpha(alpha)
+    _check_rule(alpha, alternative, "t-test")
     y = finite_array("y", y, ndim=1)
     mu0 = float(finite_array("mu0", mu0, ndim=0))
     n = y.shape[0]

@@ -17,18 +17,21 @@ import numpy as np
 from .baselines import parametric_score_test, quasi_score_test, sandwich_wald_test
 from .datasets import warpbreaks
 from .design import build_design, read_csv
-from .engine import flip_test
+from .engine import ALTERNATIVES, FLIP_METHODS, VHATS, flip_test
 from .exceptions import DesignError, NumericalError, check_alpha
-from .families import family_from_name
+from .families import FAMILIES, family_from_name
 from .flips import MODES
-from .simulate import read_config_file, run_scenario, scenario_config, write_curve_csv
+from .simulate import SETTINGS, SIGMA_RULES, parse_setting, read_config_file, run_scenario
+from .simulate import scenario_config, write_curve_csv
 
 _BASELINES = {
     "parametric": parametric_score_test,
     "quasi": quasi_score_test,
     "sandwich": sandwich_wald_test,
 }
-_ALL_METHODS = (*_BASELINES, "basic", "effective")
+_ALL_METHODS = (*_BASELINES, *FLIP_METHODS)
+# every scenario setting has a flag but the alpha grid, which a config file sets
+_SIM_FLAGS = [name for name in SETTINGS if name != "alpha_grid"]
 _JSON_FIELDS = ("method", "statistic", "p_value", "reject", "alpha", "w", "seed")
 
 
@@ -57,13 +60,6 @@ def _run_method(method, y, design, family, args):
                      vhat=args.vhat)
 
 
-def _floats(text, flag):
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise DesignError(f"{flag} must be comma-separated numbers") from None
-
-
 def _response(table, name):
     y = table.get(name)
     if y is None or y.dtype.kind != "f":
@@ -79,7 +75,10 @@ def cmd_test(args):
     nuisance = [s for s in args.nuisance.split(",") if s] if args.nuisance else []
     null_value = None
     if args.null_value:
-        null_value = _floats(args.null_value, "--null-value")
+        try:
+            null_value = [float(v) for v in args.null_value.split(",")]
+        except ValueError:
+            raise DesignError("--null-value must be comma-separated numbers") from None
     design = build_design(
         {k: v for k, v in table.items() if k != args.response},
         tested=tested,
@@ -111,20 +110,11 @@ def cmd_test(args):
 
 
 def cmd_simulate(args):
-    overrides = {}
-    if args.config:
-        overrides.update(read_config_file(args.config))
-    for name in ("n", "reps", "w", "seed", "rho", "theta", "gamma0_latent",
-                 "sigma_rule", "sigma"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.beta is not None:
-        beta = _floats(args.beta, "--beta")
-        overrides["beta"] = beta[0] if len(beta) == 1 else beta
-    if args.gamma0 is not None:
-        g = _floats(args.gamma0, "--gamma0")
-        overrides["gamma0"] = g[0] if len(g) == 1 else g
+    overrides = read_config_file(args.config) if args.config else {}
+    for name in _SIM_FLAGS:
+        text = getattr(args, name)
+        if text is not None:
+            overrides[name] = parse_setting(name, text)
     cfg = scenario_config(args.scenario, **overrides)
     curve = run_scenario(cfg)
     if args.out:
@@ -174,42 +164,30 @@ def build_parser():
                    help="comma-separated nuisance column names")
     p.add_argument("--intercept", action="store_true",
                    help="include an intercept in the nuisance block")
-    p.add_argument("--family", default="poisson",
-                   choices=("gaussian", "poisson", "binomial"))
-    p.add_argument("--method", default="effective",
-                   choices=("basic", "effective", "parametric", "sandwich",
-                            "quasi", "all"))
+    p.add_argument("--family", default="poisson", choices=FAMILIES)
+    p.add_argument("--method", default="effective", choices=(*_ALL_METHODS, "all"))
     p.add_argument("--alternative", default="two-sided",
-                   choices=("greater", "less", "two-sided", "two-sided-abs",
-                            "two-sided-tails"))
+                   choices=("two-sided", *ALTERNATIVES))
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--w", type=int, default=5000, help="number of flips")
     p.add_argument("--mode", default="with-replacement", choices=MODES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--null-value", default="",
                    help="comma-separated hypothesized tested coefficients")
-    p.add_argument("--vhat", default="identity",
-                   choices=("identity", "inv-effective-info"),
+    p.add_argument("--vhat", default="identity", choices=VHATS,
                    help="quadratic-form matrix for d > 1")
     p.add_argument("--json", action="store_true",
                    help="also emit a machine-readable JSON document")
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("simulate", help="run a rejection-probability scenario")
+    p = sub.add_parser(
+        "simulate", help="run a rejection-probability scenario",
+        description="Each --<field> flag sets that SimConfig field as a config line "
+                    f"does. sigma-rule is one of {', '.join(SIGMA_RULES)}.")
     p.add_argument("--scenario", required=True)
     p.add_argument("--config", help="flat key=value scenario file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--beta", help="scalar or comma-separated vector")
-    p.add_argument("--gamma0", help="scalar or comma-separated vector")
-    p.add_argument("--gamma0-latent", dest="gamma0_latent", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--sigma-rule", dest="sigma_rule",
-                   choices=("exp-index", "constant"))
-    p.add_argument("--sigma", type=float)
+    for name in _SIM_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), dest=name)
     p.add_argument("--out", help="write the rejection curve CSV here")
     p.set_defaults(func=cmd_simulate)
 

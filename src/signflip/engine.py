@@ -49,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from .exceptions import DesignError, check_alpha, finite_array
-from .flips import MODES, check_plan, make_flip_plan, streamable, with_replacement_chunks
+from .flips import check_plan, make_flip_plan, streamable, with_replacement_chunks
 from .glm import fit_null, score_contributions, whiten
 
 __all__ = [
@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 ALTERNATIVES = ("greater", "less", "two-sided-abs", "two-sided-tails")
+FLIP_METHODS = ("basic", "effective")
+VHATS = ("identity", "inv-effective-info")
 _CHUNK = 1 << 14  # flips summed per block, at most 4 columns wide
 _BYTE_BLOCK = 32  # plan bytes per block of byte tables
 _REBUILT_FLIPS = 1 << 10  # flips per block at least, where tables are rebuilt
@@ -395,14 +397,12 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     latter by whitening the contributions with the effective information
     I* so that T_j = s_j' I*^-1 s_j.
     """
-    for name, value, allowed in (("method", method, ("basic", "effective")),
-                                 ("vhat", vhat, ("identity", "inv-effective-info")),
-                                 ("mode", mode, MODES)):
+    for name, value, allowed in (("method", method, FLIP_METHODS), ("vhat", vhat, VHATS)):
         if value not in allowed:
             raise DesignError(f"{name} must be one of {allowed}, got {value!r}")
     _check_rule(alpha, alternative)
-    contribs = _contributions(y, design, family, method, vhat)
     n, w, seed = check_plan(design.n, w, mode, seed)
+    contribs = _contributions(y, design, family, method, vhat)
     if streamable(n, w, mode, seed):  # drawn piece by piece, never held whole
         chunks = partial(with_replacement_chunks, n, w, seed)
     else:  # distinct flips are found in the whole plan

@@ -164,18 +164,16 @@ class Binomial(Family):
         return f"Binomial(trials={self.trials!r})"
 
 
+FAMILIES = {"gaussian": Gaussian, "poisson": Poisson, "binomial": Binomial}
+
+
 def family_from_name(name, **kwargs):
-    """Resolve a family by name: gaussian, poisson, binomial."""
-    table = {
-        "gaussian": Gaussian,
-        "poisson": Poisson,
-        "binomial": Binomial,
-    }
+    """Resolve a family by name, one of the keys of ``FAMILIES``."""
     try:
-        cls = table[name]
+        cls = FAMILIES[name]
     except KeyError:
         raise DesignError(
-            f"unknown family {name!r}; choose from {', '.join(sorted(table))}"
+            f"unknown family {name!r}; choose from {', '.join(sorted(FAMILIES))}"
         ) from None
     unknown = sorted(set(kwargs) - ({"trials"} if cls is Binomial else set()))
     if unknown:

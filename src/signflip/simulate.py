@@ -72,13 +72,16 @@ def _default_alpha_grid():
     return np.asarray(grid)
 
 
+SIGMA_RULES = ("exp-index", "constant")
 _EXP_INDEX_MAX_N = 709  # exp(710) overflows a double
+# the integer fields and their bounds; parse_setting reads them exactly
+_INTEGER_FIELDS = {"n": (1, None), "reps": (1, None), "w": (2, None), "seed": (0, SEED_MAX)}
 
 
 def _check_sigma_rule(sigma_rule, n):
     """Refuse an unknown sd rule, and exp-index past the n where exp(n) overflows."""
-    if sigma_rule not in ("exp-index", "constant"):
-        raise DesignError("sigma_rule must be 'exp-index' or 'constant'")
+    if not isinstance(sigma_rule, str) or sigma_rule not in SIGMA_RULES:
+        raise DesignError(f"sigma_rule must be one of {SIGMA_RULES}, got {sigma_rule!r}")
     if sigma_rule == "exp-index" and n > _EXP_INDEX_MAX_N:
         raise DesignError(f"sigma_rule 'exp-index' needs n <= {_EXP_INDEX_MAX_N}, "
                           f"where sd_n = exp(n) is finite; got n={n}")
@@ -86,7 +89,11 @@ def _check_sigma_rule(sigma_rule, n):
 
 @dataclass
 class SimConfig:
-    """Scenario configuration; unspecified fields take scenario defaults."""
+    """Scenario configuration; a field left out takes the default below.
+
+    These ignore the scenario, so ``SimConfig(scenario="multivariate")`` tests
+    d = 1 at n = 200; ``scenario_config`` applies a scenario's published ones.
+    """
 
     scenario: str
     n: int = 200
@@ -98,7 +105,7 @@ class SimConfig:
     gamma0_latent: float = 0.0
     rho: float = 0.5
     theta: float = None          # None generates Poisson responses
-    sigma_rule: str = "exp-index"  # hetero-t only: "exp-index" or "constant"
+    sigma_rule: str = "exp-index"  # hetero-t only: one of SIGMA_RULES
     sigma: float = 1.0             # constant-sd value for hetero-t
     alpha_grid: np.ndarray = field(default_factory=_default_alpha_grid)
 
@@ -108,8 +115,7 @@ class SimConfig:
                 f"unknown scenario {self.scenario!r}; valid names: "
                 + ", ".join(SCENARIOS)
             )
-        for name, low, high in (("n", 1, None), ("reps", 1, None), ("w", 2, None),
-                                ("seed", 0, SEED_MAX)):
+        for name, (low, high) in _INTEGER_FIELDS.items():
             setattr(self, name, integer(name, getattr(self, name), low, high))
         for name in ("gamma0_latent", "rho", "sigma"):
             setattr(self, name, float(finite_array(name, getattr(self, name), ndim=0)))
@@ -123,12 +129,13 @@ class SimConfig:
         ):
             raise DesignError("alpha_grid must be a strictly increasing vector within (0, 1)")
         self.alpha_grid = grid
+        # only hetero-t draws sd_i from the rule, so only it bounds n by it
+        _check_sigma_rule(self.sigma_rule, self.n if self.scenario == "hetero-t" else 0)
+        self.gamma0 = np.atleast_1d(finite_array("gamma0", self.gamma0))
         if self.scenario == "hetero-t":
-            _check_sigma_rule(self.sigma_rule, self.n)
             self.beta = float(finite_array("beta", self.beta, ndim=0))
         else:
-            self.beta, self.gamma0 = (np.atleast_1d(finite_array(name, getattr(self, name)))
-                                      for name in ("beta", "gamma0"))
+            self.beta = np.atleast_1d(finite_array("beta", self.beta))
             if self.beta.ndim != 1 or self.beta.shape != self.gamma0.shape:
                 raise DesignError("beta and gamma0 must be vectors of the same dimension")
         # a lower bound, checked before a repetition allocates anything: a
@@ -136,6 +143,9 @@ class SimConfig:
         require_memory(f"n={self.n} observations", 8 * self.n)
         return self
 
+
+# the fields a caller sets; the scenario is named apart
+SETTINGS = tuple(f.name for f in fields(SimConfig) if f.name != "scenario")
 
 _SCENARIO_DEFAULTS = {
     "overdispersed-nuisance": dict(n=200, w=200, beta=0.0, gamma0=1.0,
@@ -153,19 +163,14 @@ _SCENARIO_DEFAULTS = {
 
 def scenario_config(scenario, /, **overrides):
     """SimConfig with the published defaults for ``scenario``."""
-    if scenario not in _SCENARIO_DEFAULTS:
-        raise DesignError(
-            f"unknown scenario {scenario!r}; valid names: " + ", ".join(SCENARIOS)
-        )
-    known = {f.name for f in fields(SimConfig)} - {"scenario"}
-    unknown = sorted(set(overrides) - known)
+    unknown = sorted(set(overrides) - set(SETTINGS))
     if unknown:
         raise DesignError(
             f"unknown config field {unknown[0]!r}; valid fields: "
-            + ", ".join(sorted(known))
+            + ", ".join(sorted(SETTINGS))
         )
-    kwargs = dict(_SCENARIO_DEFAULTS[scenario])
-    kwargs.update(overrides)
+    # validate refuses an unknown scenario, which has no defaults
+    kwargs = {**_SCENARIO_DEFAULTS.get(scenario, {}), **overrides}
     return SimConfig(scenario=scenario, **kwargs).validate()
 
 
@@ -379,12 +384,36 @@ def write_curve_csv(curve, path):
             fh.write(",".join(row) + "\n")
 
 
+def parse_setting(key, text):
+    """Setting ``key`` from its text in a config line or a flag, for ``validate`` to judge.
+
+    Comma-separated values are a float vector.  An integer field reads an
+    integer literal exactly and an integral float as an int.  Other
+    numbers are floats, and anything else stays a string.
+    """
+    if "," in text:
+        try:
+            return np.asarray([float(v) for v in text.split(",")])
+        except ValueError:
+            msg = f"{key!r} must be comma-separated numbers, got {text!r}"
+            raise DesignError(msg) from None
+    if key in _INTEGER_FIELDS:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    try:
+        num = float(text)
+    except ValueError:
+        return text
+    return int(num) if key in _INTEGER_FIELDS and num.is_integer() else num
+
+
 def read_config_file(path):
     """Parse a flat key=value scenario file into keyword overrides.
 
-    Numbers parse as floats (ints when integral); comma-separated values
-    parse as vectors; everything else stays a string.  Lines starting
-    with '#' are ignored.
+    Each value parses with ``parse_setting``.  Lines starting with '#'
+    are ignored.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -400,21 +429,5 @@ def read_config_file(path):
             raise DesignError(f"bad config line {line!r}; expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if "," in value:
-            try:
-                overrides[key] = np.asarray([float(v) for v in value.split(",")])
-            except ValueError:
-                raise DesignError(
-                    f"config field {key!r} must be comma-separated numbers, "
-                    f"got {value!r}"
-                ) from None
-            continue
-        try:
-            num = float(value)
-        except ValueError:
-            overrides[key] = value
-            continue
-        overrides[key] = int(num) if num.is_integer() and key in (
-            "n", "reps", "w", "seed") else num
+        overrides[key] = parse_setting(key, value.strip())
     return overrides

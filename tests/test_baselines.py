@@ -110,6 +110,27 @@ def test_p_values_equal_scipy_stats_references(seed, n, d, alternative):
         assert res.p_value == float(want), (res.method, res.statistic)
 
 
+def test_baselines_check_their_alternative_before_any_fit(monkeypatch):
+    # an unknown alternative, or a one-sided one at d > 1, costs no IRLS fit
+    import signflip.baselines as baselines
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(baselines, "fit_null", unreachable)
+    monkeypatch.setattr(baselines, "fit_full", unreachable)
+    rng = np.random.default_rng(5)
+    x, x2, y = rng.normal(size=(3, 20))
+    one = build_design({"x": x}, tested=["x"], intercept=True)
+    two = build_design({"x": x, "x2": x2}, tested=["x", "x2"], intercept=True)
+    for test in (parametric_score_test, sandwich_wald_test, quasi_score_test):
+        with pytest.raises(DesignError, match="unknown alternative 'bogus'"):
+            test(y, one, Poisson(), "bogus")
+    for test in (parametric_score_test, sandwich_wald_test):
+        with pytest.raises(DesignError, match="two-sided only"):
+            test(y, two, Poisson(), "greater")
+
+
 # ------------------------------------------------------------------ #
 # one-sample t
 # ------------------------------------------------------------------ #

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import signflip
-from signflip import warpbreaks
+from signflip import RejectionCurve, SCENARIOS, SimConfig, warpbreaks
 from signflip.cli import main
 
 
@@ -591,3 +592,46 @@ def test_cmd_simulate_and_warpbreaks_any_arguments_end_in_a_documented_exit_code
         paths[name].write_text(text, encoding="utf-8")
     argv = [a.format(**paths) for a in argv]
     _assert_documented_exit(argv, files)
+
+
+def _simulate_config(argv):
+    """The SimConfig that ``signflip simulate`` runs for argv, or its exit code."""
+    runs = []
+
+    def record(cfg):
+        runs.append(cfg)
+        return RejectionCurve(cfg.scenario, np.empty(0), {}, 0)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        mp.setattr("signflip.cli.run_scenario", record)
+        try:
+            rc = main(["simulate", *argv])
+        except SystemExit as exc:  # argparse refusing a flag
+            rc = exc.code
+    return runs[0] if rc == 0 else rc
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS),
+       flag_text=st.sampled_from(sorted(_SIM_FLAGS)).flatmap(
+           lambda flag: st.tuples(st.just(flag), _SIM_FLAGS[flag] | _BAD_TEXT)))
+# each example below once gave two different runs
+@example(scenario="ignored-latent", flag_text=("--seed", "9007199254740993"))
+@example(scenario="ignored-latent", flag_text=("--n", "1e3"))
+@example(scenario="ignored-latent", flag_text=("--sigma-rule", "uniform"))
+@example(scenario="hetero-t", flag_text=("--gamma0", "a"))
+def test_a_simulate_flag_and_its_config_line_give_the_same_config(tmp_path_factory,
+                                                                   scenario, flag_text):
+    flag, text = flag_text
+    path = tmp_path_factory.getbasetemp() / "setting.txt"
+    path.write_text(f"{flag[2:].replace('-', '_')}={text}\n", encoding="utf-8")
+    by_flag = _simulate_config(["--scenario", scenario, flag, text])
+    by_line = _simulate_config(["--scenario", scenario, "--config", str(path)])
+    if isinstance(by_flag, int) or isinstance(by_line, int):
+        assert by_flag == by_line == 2, (by_flag, by_line)
+        return
+    for f in fields(SimConfig):
+        a, b = getattr(by_flag, f.name), getattr(by_line, f.name)
+        assert type(a) is type(b) and np.array_equal(a, b), (f.name, a, b)

@@ -1002,7 +1002,8 @@ def test_flip_test_provenance_and_validation():
 
 
 def test_flip_test_checks_its_rule_before_the_fit_and_the_plan(monkeypatch):
-    # a bad alpha, alternative or mode is refused before 10^8 flips are drawn
+    # a bad alpha, alternative, mode, w or seed is refused before the null
+    # fit runs and before 10^8 flips are drawn
     import signflip.engine as engine
 
     def unreachable(*args, **kwargs):
@@ -1014,9 +1015,9 @@ def test_flip_test_checks_its_rule_before_the_fit_and_the_plan(monkeypatch):
     design = build_design({"x": rng.normal(size=20)}, tested=["x"], intercept=True)
     y = rng.normal(size=20)
     for bad in (dict(alpha=0.0), dict(alpha=1.5), dict(alternative="bogus"),
-                dict(mode="bogus")):
-        with pytest.raises(DesignError, match="alpha|alternative|mode"):
-            flip_test(y, design, Gaussian(), w=10**8, **bad)
+                dict(mode="bogus"), dict(w=1), dict(w=10**15), dict(seed=-1)):
+        with pytest.raises(DesignError, match="alpha|alternative|mode|w must|w=|seed must"):
+            flip_test(y, design, Gaussian(), **{"w": 10**8, **bad})
 
 
 def test_flip_test_refuses_a_plan_past_memory_before_any_flip_is_drawn(monkeypatch):

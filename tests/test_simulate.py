@@ -16,6 +16,7 @@ from signflip import (
     write_curve_csv,
 )
 from signflip.flips import keyed_rng
+from signflip.simulate import parse_setting
 
 
 # ------------------------------------------------------------------ #
@@ -298,6 +299,17 @@ def test_read_config_file(tmp_path):
         read_config_file(tmp_path / "missing.txt")
 
 
+def test_parse_setting_reads_an_integer_field_exactly():
+    # a seed past 2^53 once went through float and named another plan stream
+    assert parse_setting("seed", "9007199254740993") == 9007199254740993
+    n = parse_setting("n", "1e3")
+    assert n == 1000 and isinstance(n, int)
+    assert parse_setting("n", "inf") == float("inf")  # validate names it
+    rho = parse_setting("rho", "1")
+    assert rho == 1.0 and isinstance(rho, float)
+    assert parse_setting("sigma_rule", "constant") == "constant"
+
+
 @pytest.mark.parametrize("seed", [2**64, -1])
 def test_config_seed_outside_a_key_word_is_refused_before_any_repetition(seed):
     # a seed of 2^64 used to run seed 0's repetitions under its own name
@@ -322,6 +334,8 @@ def test_config_validation():
         ({"n": 0}, "n must be at least 1"),
         ({"n": 2.5}, "n must be an integer"),
         ({"alpha_grid": "abc"}, "alpha_grid must be numeric"),
+        # the sd rule is checked in every scenario, not only where it acts
+        ({"sigma_rule": "uniform"}, "sigma_rule must be one of"),
         # sizes past physical memory, refused before anything is allocated
         ({"n": 10**15}, "n=1000000000000000 observations need 8000000000000000 "
                         "bytes, more than"),
@@ -332,3 +346,6 @@ def test_config_validation():
             scenario_config("ignored-latent", **overrides)
     with pytest.raises(DesignError, match="beta must be a single number"):
         scenario_config("hetero-t", beta=[0.0, 1.0])
+    # hetero-t draws nothing from gamma0, but a bad one is refused there too
+    with pytest.raises(DesignError, match="gamma0 must be numeric"):
+        scenario_config("hetero-t", gamma0="abc")
