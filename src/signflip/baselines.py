@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtr, stdtr
 
 from .engine import TestResult
-from .exceptions import DesignError, NumericalError, check_alpha, finite_array
+from .exceptions import DesignError, NumericalError, check_alpha, finite_array, one_of
 from .glm import (
     check_response,
     fit_full,
@@ -46,8 +46,7 @@ def _result(statistic, p, alpha, alternative, method):
 def _check_rule(alpha, alternative, method, d=1):
     """Refuse an alpha outside (0, 1), an unknown alternative and a one-sided d > 1 test."""
     check_alpha(alpha)
-    if alternative not in ALTERNATIVES:
-        raise DesignError(f"unknown alternative {alternative!r}")
+    one_of("alternative", alternative, ALTERNATIVES)
     if d > 1 and alternative not in _TWO_SIDED:
         raise DesignError(f"the d-dimensional {method} test is two-sided only")
 

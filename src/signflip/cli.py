@@ -10,6 +10,7 @@ deterministic for fixed flags and seed.
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -202,9 +203,25 @@ def build_parser():
     return parser
 
 
+def _join_negative_values(argv):
+    """argv with each argument that starts with '-' and a digit or '.' joined to its flag.
+
+    argparse reads only -N and -N.N as values, so ``--beta -1e-2`` and
+    ``--null-value -1,2`` would end in "expected one argument"; no flag
+    starts that way, and ``--beta=-1e-2`` is read as meant.
+    """
+    joined = []
+    for arg in argv:
+        if joined and re.fullmatch(r"--[\w-]+", joined[-1]) and re.match(r"-[\d.]", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         # overflow or an invalid operation ends the run instead of a warning
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -21,21 +21,21 @@ tested columns for byte value v: each plan byte of a flip costs one
 copy of a whole table row, and no dense sign matrix is formed.  The
 tables are built in blocks of at most 32 plan bytes, and the flips are
 summed, scaled and counted in blocks of 16384, fewer when d > 4 so that
-a block's sums stay within the bytes of 16384 rows of four.  The plan is
-read in pieces of one block of flips by one block of tables, each
-table block built as its piece arrives.  ``flip_test`` draws a
+a block's sums stay within the bytes of 16384 rows of four.  A plan is
+read in pieces of one block of flips by one table block, or by 8 plan
+bytes, a quarter of one, when it is streamed; each table block is built
+when the piece that starts it arrives.  ``flip_test`` draws a
 with-replacement plan piece by piece, just before each is summed, so it
-holds one piece of the plan, one block of tables and one block of sums
-whatever n and w are; so does a without-replacement plan with n > 20
-when it is the with-replacement plan (``flips.streamable``).  Any other
-plan is made whole and read in slices.  A plan of one table block
-(n <= 256) builds it once, a longer one builds each table block again
-for each block of flips, which holds at least 1024 flips for that
-reason.  Each flip adds its bytes' entries in ascending byte order
-however the blocks fall, so the statistics are bit-identical to those
-of one whole table, a complementary flip still gives exactly the
-negated sums, and a quadratic form adds its squared columns in column
-order.
+holds one 8-byte piece of the plan, one 32-byte block of tables and one
+block of sums whatever n and w are; so does a without-replacement plan
+with n > 20 when it is the with-replacement plan (``flips.streamable``).
+Any other plan is made whole and read in slices.  A plan of one table block (n <= 256) builds
+it once, a longer one builds each table block again for each block of
+flips, which holds at least 1024 flips for that reason.  Each flip
+adds its bytes' entries in ascending byte order however the blocks and
+pieces fall, so the statistics are bit-identical to those of one whole
+table, a complementary flip still gives exactly the negated sums, and a
+quadratic form adds its squared columns in column order.
 
 Effective scores subtract the information-weighted projection of the
 nuisance contributions, which removes the first-order effect of
@@ -48,7 +48,7 @@ from functools import partial
 
 import numpy as np
 
-from .exceptions import DesignError, check_alpha, finite_array
+from .exceptions import DesignError, check_alpha, finite_array, one_of
 from .flips import check_plan, make_flip_plan, streamable, with_replacement_chunks
 from .glm import fit_null, score_contributions, whiten
 
@@ -67,6 +67,7 @@ FLIP_METHODS = ("basic", "effective")
 VHATS = ("identity", "inv-effective-info")
 _CHUNK = 1 << 14  # flips summed per block, at most 4 columns wide
 _BYTE_BLOCK = 32  # plan bytes per block of byte tables
+_PIECE = 8  # plan bytes per piece of a streamed plan, a divisor of _BYTE_BLOCK
 _REBUILT_FLIPS = 1 << 10  # flips per block at least, where tables are rebuilt
 
 
@@ -89,7 +90,8 @@ def effective_contributions(score_set):
     column sums equal those of ``nu`` when the nuisance estimate is the
     null MLE (the projected term then sums to zero).
     """
-    return score_set.nu - score_set.nu_nuis @ score_set.info.proj
+    out = score_set.nu_nuis @ score_set.info.proj
+    return np.subtract(score_set.nu, out, out=out)
 
 
 def _byte_tables(contribs, width):
@@ -154,30 +156,32 @@ def _signed_sums(chunks, contribs):
     fixed-width loop and a 3-double row with a memmove; each plan byte
     costs one gather of whole rows.  ``chunks`` holds the pieces of
     consecutive blocks of flips, the first block as long as any, each
-    block as its (<= ``_BYTE_BLOCK``, m) pieces in ascending row order,
-    as ``FlipPlan.chunks`` gives them.  Each piece's byte tables are
-    built as it arrives and the block's sums are yielded after its last
-    piece; they overwrite the last block's, so nothing grows with w, and
-    neither the tables nor a piece grows with n.  A plan of one table
-    block (n <= 256) builds its tables once, a longer plan builds every
-    table block again for each block of flips.  Each entry depends only
-    on the 8 rows of its byte, and each flip adds its bytes' entries in
-    ascending byte order, so the sums are bit-identical however they are
-    partitioned.
+    block as its (<= r, m) pieces in ascending row order, as
+    ``FlipPlan.chunks`` gives them, with r a divisor of ``_BYTE_BLOCK``,
+    so that no piece straddles two table blocks.  A table block is built
+    when the piece that starts it arrives, and the block's sums are
+    yielded after its last piece; they overwrite the last block's, so
+    nothing grows with w, and neither the tables nor a piece grows with
+    n.  A plan of one table block (n <= 256) builds its tables once, a
+    longer plan builds every table block again for each block of flips.
+    Each entry depends only on the 8 rows of its byte, and each flip adds
+    its bytes' entries in ascending byte order, so the sums are
+    bit-identical however they are partitioned.
     """
     n, d = contribs.shape
     nb = -(-n // 8)
     width = _width(d)
-    tab = _byte_tables(contribs[: 8 * _BYTE_BLOCK], width)
-    out, b0 = None, 0
-    for i, signs in enumerate(chunks):
-        if out is None:  # not on top of the table build
-            out = np.empty((signs.shape[1], width))
-        if nb > _BYTE_BLOCK and i:
+    tab = out = None
+    b0 = 0
+    for signs in chunks:
+        t0 = b0 % _BYTE_BLOCK  # the piece's first row in its table block
+        if t0 == 0 and (tab is None or nb > _BYTE_BLOCK):
             del tab  # not held while the next is built
             tab = _byte_tables(contribs[8 * b0 : 8 * (b0 + _BYTE_BLOCK)], width)
+        if out is None:  # not on top of the table build
+            out = np.empty((signs.shape[1], width))
         acc = out[: signs.shape[1]]
-        for k, idx in enumerate(signs):
+        for k, idx in enumerate(signs, t0):
             if b0 == k == 0:  # the plan's first byte starts every sum
                 acc[...] = tab[0].take(idx, axis=0)
             else:
@@ -187,11 +191,15 @@ def _signed_sums(chunks, contribs):
             yield acc
 
 
-def _statistics(contribs, n, chunks, quadratic):
+def _statistics(contribs, n, chunks, quadratic, rows=_BYTE_BLOCK):
     """The scalar or quadratic statistics of each block of flips.
 
     ``chunks(m, rows)`` yields the pieces of a plan of n observations
     in consecutive blocks of <= m flips, as ``FlipPlan.chunks`` does.
+    A held plan is sliced a table block at a time, since a slice costs
+    no memory but each piece costs about 2 us; a streamed plan is asked
+    for pieces of ``_PIECE`` = 8 plan bytes, so it holds 8 * m bytes at a
+    time, while the tables stay blocks of ``_BYTE_BLOCK`` = 32 plan bytes.
     """
     contribs = finite_array("contributions", contribs)
     shape = contribs.shape
@@ -219,7 +227,7 @@ def _statistics(contribs, n, chunks, quadratic):
         return stat
 
     size = _block_flips(_width(d), n)
-    return map(statistic, _signed_sums(chunks(size, _BYTE_BLOCK), contribs))
+    return map(statistic, _signed_sums(chunks(size, rows), contribs))
 
 
 def _collect(blocks, w):
@@ -262,20 +270,19 @@ def _floor_multiple(alpha, w):
 
 
 def _count(vals, t1, alternative):
-    """Number of flips in ``vals`` at least as extreme as T_1 = t1."""
+    """Number of flips in ``vals`` at least as extreme as T_1 = t1.
+
+    ``alternative`` is greater, less or two-sided-abs.
+    """
     if alternative == "greater":
         return int(np.count_nonzero(vals >= t1))
     if alternative == "less":
         return int(np.count_nonzero(vals <= t1))
-    if alternative == "two-sided-abs":
-        # |T_j| >= a as T_j >= a or T_j <= -a, with no |T| copy; at a == 0
-        # both sides hold a zero, so the lower side then counts T_j < 0
-        a = abs(t1)
-        below = vals < -a if a == 0 else vals <= -a
-        return int(np.count_nonzero(vals >= a)) + int(np.count_nonzero(below))
-    raise DesignError(
-        f"p_value is defined for greater/less/two-sided-abs, got {alternative!r}"
-    )
+    # |T_j| >= a as T_j >= a or T_j <= -a, with no |T| copy; at a == 0
+    # both sides hold a zero, so the lower side then counts T_j < 0
+    a = abs(t1)
+    below = vals < -a if a == 0 else vals <= -a
+    return int(np.count_nonzero(vals >= a)) + int(np.count_nonzero(below))
 
 
 def _check_values(values):
@@ -298,6 +305,7 @@ def p_value(values, alternative):
     counts |T_j| >= |T_1|.  ``values`` is a non-empty 1-d array without
     NaN; an infinity compares as usual.
     """
+    one_of("p_value alternative", alternative, ("greater", "less", "two-sided-abs"))
     _check_values(values)
     return _count(values, values[0], alternative) / values.shape[0]
 
@@ -305,10 +313,7 @@ def p_value(values, alternative):
 def _check_rule(alpha, alternative):
     """Refuse an alpha outside (0, 1) or an unknown alternative."""
     check_alpha(alpha)
-    if alternative not in ALTERNATIVES:
-        raise DesignError(
-            f"unknown alternative {alternative!r}; choose from {ALTERNATIVES}"
-        )
+    one_of("alternative", alternative, ALTERNATIVES)
 
 
 def decide(values, alpha, alternative, alpha1=None, alpha2=None,
@@ -397,16 +402,15 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     latter by whitening the contributions with the effective information
     I* so that T_j = s_j' I*^-1 s_j.
     """
-    for name, value, allowed in (("method", method, FLIP_METHODS), ("vhat", vhat, VHATS)):
-        if value not in allowed:
-            raise DesignError(f"{name} must be one of {allowed}, got {value!r}")
+    one_of("method", method, FLIP_METHODS)
+    one_of("vhat", vhat, VHATS)
     _check_rule(alpha, alternative)
     n, w, seed = check_plan(design.n, w, mode, seed)
     contribs = _contributions(y, design, family, method, vhat)
     if streamable(n, w, mode, seed):  # drawn piece by piece, never held whole
-        chunks = partial(with_replacement_chunks, n, w, seed)
+        chunks, rows = partial(with_replacement_chunks, n, w, seed), _PIECE
     else:  # distinct flips are found in the whole plan
-        chunks = make_flip_plan(n, w, mode=mode, seed=seed).chunks
-    stats = _statistics(contribs, n, chunks, quadratic=design.d > 1)
+        chunks, rows = make_flip_plan(n, w, mode=mode, seed=seed).chunks, _BYTE_BLOCK
+    stats = _statistics(contribs, n, chunks, design.d > 1, rows)
     result = _decide(stats, alpha, alternative, None, None, f"flip-{method}")
     return replace(result, w=w, seed=seed)

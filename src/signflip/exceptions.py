@@ -1,11 +1,12 @@
-"""Exception hierarchy and the four checks of outside numbers.
+"""Exception hierarchy and the checks of outside numbers and choices.
 
 ``DesignError`` marks bad user input (unknown columns, invalid responses,
 degenerate designs); ``NumericalError`` marks failures of the numerics
 (non-convergence, singular information blocks).  The CLI maps them to
 exit codes 2 and 3 respectively.  Every public function converts the
-numbers it is given through the checks below, which refuse, never cast
-or flatten, and name the argument in their DesignError.
+numbers and checks the named choices it is given through the checks
+below, which refuse, never cast or flatten, and name the argument in
+their DesignError.
 """
 
 import operator
@@ -70,6 +71,14 @@ def integer(name, value, low=None, high=None):
                 raise DesignError(f"{name} must be at most {high}, got {value}")
             return value
     raise DesignError(f"{name} must be an integer, got {value!r}")
+
+
+def one_of(name, value, allowed):
+    """``value`` if it is one of the strings in ``allowed``, else DesignError."""
+    if isinstance(value, str) and value in allowed:
+        return value
+    raise DesignError(f"unknown {name} {value!r}; {name} must be one of "
+                      + ", ".join(allowed))
 
 
 def check_alpha(alpha):

@@ -12,7 +12,7 @@ finite float n-vector that ``glm`` has checked, so no method converts it.
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .exceptions import DesignError, finite_array
+from .exceptions import DesignError, finite_array, one_of
 
 __all__ = [
     "Family",
@@ -169,12 +169,7 @@ FAMILIES = {"gaussian": Gaussian, "poisson": Poisson, "binomial": Binomial}
 
 def family_from_name(name, **kwargs):
     """Resolve a family by name, one of the keys of ``FAMILIES``."""
-    try:
-        cls = FAMILIES[name]
-    except KeyError:
-        raise DesignError(
-            f"unknown family {name!r}; choose from {', '.join(sorted(FAMILIES))}"
-        ) from None
+    cls = FAMILIES[one_of("family", name, FAMILIES)]
     unknown = sorted(set(kwargs) - ({"trials"} if cls is Binomial else set()))
     if unknown:
         raise DesignError(f"the {name} family takes no argument {unknown[0]!r}")

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DesignError, integer
+from .exceptions import DesignError, integer, one_of
 
 __all__ = ["FlipPlan", "make_flip_plan", "MODES"]
 
@@ -247,8 +247,7 @@ def check_plan(n, w, mode="with-replacement", seed=0):
     exhaustive is requested with n > 20 or w != 2^n.
     """
     n, w, seed = integer("n", n, 1), integer("w", w, 2), integer("seed", seed, 0, SEED_MAX)
-    if mode not in MODES:
-        raise DesignError(f"unknown flip mode {mode!r}; choose from {MODES}")
+    one_of("mode", mode, MODES)
     # w > 2^n, without forming 2^n for a huge n
     if mode == "without-replacement" and (w - 1).bit_length() > n:
         raise DesignError(f"without-replacement needs w <= 2^n, got w={w} for n={n}")

@@ -263,10 +263,12 @@ def information_blocks(null_fit, design):
     W = null_fit.W_hat
     n = design.n
     XD = design.X_tested
-    Z = design.X_nuisance
     WXD = W[:, None] * XD
     I11 = XD.T @ WXD / n
+    del XD  # each (n, .) copy is held only while it is read
+    Z = design.X_nuisance
     I12 = Z.T @ WXD / n
+    del WXD
     I22 = Z.T @ (W[:, None] * Z) / n
     _check_conditioned(I22, "nuisance information block")
     proj = solve_spd(I22, I12)
@@ -280,8 +282,11 @@ def score_contributions(y, null_fit, design, family):
     block, evaluated at the null fit (canonical link).
     """
     y = check_response(y, design, family)
-    resid = y - null_fit.mu_hat
-    nu = design.X_tested * resid[:, None]
-    nu_nuis = design.X_nuisance * resid[:, None]
-    info = information_blocks(null_fit, design)
+    info = information_blocks(null_fit, design)  # its copies freed before ours
+    resid = (y - null_fit.mu_hat)[:, None]
+    # each block is a fresh fancy-index copy of X, so it is scaled in place
+    nu = design.X_tested
+    nu *= resid
+    nu_nuis = design.X_nuisance
+    nu_nuis *= resid
     return ScoreSet(nu=nu, nu_nuis=nu_nuis, info=info)

@@ -36,7 +36,7 @@ from .engine import (
     flip_statistics_scalar,
     p_value,
 )
-from .exceptions import DesignError, NumericalError, finite_array, integer, real_array
+from .exceptions import DesignError, NumericalError, finite_array, integer, one_of, real_array
 from .families import Poisson
 from .flips import SEED_MAX, keyed_rng, make_flip_plan, require_memory
 from .glm import cholesky_lower, fit_null, score_contributions
@@ -80,8 +80,7 @@ _INTEGER_FIELDS = {"n": (1, None), "reps": (1, None), "w": (2, None), "seed": (0
 
 def _check_sigma_rule(sigma_rule, n):
     """Refuse an unknown sd rule, and exp-index past the n where exp(n) overflows."""
-    if not isinstance(sigma_rule, str) or sigma_rule not in SIGMA_RULES:
-        raise DesignError(f"sigma_rule must be one of {SIGMA_RULES}, got {sigma_rule!r}")
+    one_of("sigma_rule", sigma_rule, SIGMA_RULES)
     if sigma_rule == "exp-index" and n > _EXP_INDEX_MAX_N:
         raise DesignError(f"sigma_rule 'exp-index' needs n <= {_EXP_INDEX_MAX_N}, "
                           f"where sd_n = exp(n) is finite; got n={n}")
@@ -110,11 +109,7 @@ class SimConfig:
     alpha_grid: np.ndarray = field(default_factory=_default_alpha_grid)
 
     def validate(self):
-        if self.scenario not in SCENARIOS:
-            raise DesignError(
-                f"unknown scenario {self.scenario!r}; valid names: "
-                + ", ".join(SCENARIOS)
-            )
+        one_of("scenario", self.scenario, SCENARIOS)
         for name, (low, high) in _INTEGER_FIELDS.items():
             setattr(self, name, integer(name, getattr(self, name), low, high))
         for name in ("gamma0_latent", "rho", "sigma"):
@@ -169,8 +164,7 @@ def scenario_config(scenario, /, **overrides):
             f"unknown config field {unknown[0]!r}; valid fields: "
             + ", ".join(sorted(SETTINGS))
         )
-    # validate refuses an unknown scenario, which has no defaults
-    kwargs = {**_SCENARIO_DEFAULTS.get(scenario, {}), **overrides}
+    kwargs = {**_SCENARIO_DEFAULTS[one_of("scenario", scenario, SCENARIOS)], **overrides}
     return SimConfig(scenario=scenario, **kwargs).validate()
 
 

@@ -429,7 +429,8 @@ def _options():
         "--mode": st.sampled_from(["with-replacement", "without-replacement",
                                    "exhaustive", "bootstrap"]),
         "--seed": st.integers(-2, 2**70).map(str),
-        "--null-value": st.sampled_from(["0", "1", "0,0", "nan", "inf", "1e308", "a", ""]),
+        "--null-value": st.sampled_from(["0", "1", "0,0", "-1e-2", "-1,2", "nan", "inf",
+                                         "1e308", "a", ""]),
         "--vhat": st.sampled_from(["identity", "inv-effective-info", "sandwich"]),
         "--nuisance": names,
     }
@@ -473,10 +474,12 @@ _SIM_FLAGS = {
     "--n": st.integers(2, 40).map(str),
     "--w": st.integers(2, 64).map(str),
     "--seed": st.integers(0, 2**64 - 1).map(str),
-    "--beta": st.sampled_from(["0", "0.2", "-0.5", "0,0", "0.5,0.2,0,0,0"]),
-    "--gamma0": st.sampled_from(["0", "1", "0,0", "0.5,0.2,0,0,0"]),
-    "--gamma0-latent": st.sampled_from(["0", "0.5", "1"]),
-    "--rho": st.sampled_from(["0", "0.3", "0.5"]),
+    "--beta": st.sampled_from(["0", "0.2", "-0.5", "-1e-2", "0,0", "-1e-1,0",
+                               "0.5,0.2,0,0,0", "-0.5,0,0,0,0"]),
+    "--gamma0": st.sampled_from(["0", "1", "-5e-1", "0,0", "-0.5,0.2",
+                                 "0.5,0.2,0,0,0", "-0.5,-2e-1,0,0,0"]),
+    "--gamma0-latent": st.sampled_from(["0", "0.5", "1", "-5e-1"]),
+    "--rho": st.sampled_from(["0", "0.3", "0.5", "-1e-1"]),
     "--theta": st.sampled_from(["0.5", "1", "10"]),
     "--sigma": st.sampled_from(["0.5", "1", "3"]),
     "--sigma-rule": st.sampled_from(["exp-index", "constant"]),
@@ -622,6 +625,8 @@ def _simulate_config(argv):
 @example(scenario="ignored-latent", flag_text=("--n", "1e3"))
 @example(scenario="ignored-latent", flag_text=("--sigma-rule", "uniform"))
 @example(scenario="hetero-t", flag_text=("--gamma0", "a"))
+@example(scenario="hetero-t", flag_text=("--beta", "-1e-2"))
+@example(scenario="multivariate", flag_text=("--beta", "-0.5,0,0,0,0"))
 def test_a_simulate_flag_and_its_config_line_give_the_same_config(tmp_path_factory,
                                                                    scenario, flag_text):
     flag, text = flag_text
@@ -635,3 +640,21 @@ def test_a_simulate_flag_and_its_config_line_give_the_same_config(tmp_path_facto
     for f in fields(SimConfig):
         a, b = getattr(by_flag, f.name), getattr(by_line, f.name)
         assert type(a) is type(b) and np.array_equal(a, b), (f.name, a, b)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "hetero-t", "--reps", "2", "--beta", "-1e-2"],
+    ["simulate", "--scenario", "multivariate", "--reps", "2", "--beta", "-0.5,0,0,0,0"],
+    ["test", "--data", "{data}", "--response", "breaks", "--tested", "woolB,tensionM",
+     "--nuisance", "tensionH", "--intercept", "--method", "parametric",
+     "--null-value", "-1,2"],
+], ids=["exponent", "list", "null-value"])
+def test_value_flags_take_numbers_and_lists_with_a_leading_minus(warpbreaks_csv, capsys,
+                                                                 argv):
+    # argparse alone reads only -N and -N.N as values
+    argv = [a.format(data=warpbreaks_csv) for a in argv]
+    runs = []
+    for args in (argv, [*argv[:-2], f"{argv[-2]}={argv[-1]}"]):
+        runs.append((main(args), *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0, runs[0]

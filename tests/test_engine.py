@@ -642,7 +642,7 @@ def _n2000_quadratic():
 def test_quadratic_flip_test_peak_memory_is_one_plan_block_and_the_padded_sums():
     # n = 2000 is eight blocks of byte tables, built again for each block
     # of flips: three tested columns are summed in rows of four, and one
-    # (ceil(n/8), block) piece of the plan, the (block, 4) sums and the
+    # (8, block) piece of the plan, the (block, 4) sums and the
     # (block,) statistic are all that is held, whatever w is; holding the
     # plan would add 15 MB between the two w, and all w statistics 480 KB
     import signflip.engine as engine
@@ -666,6 +666,24 @@ def test_without_replacement_flip_test_peak_memory_grows_by_the_keys_alone():
                                     mode="without-replacement")
     assert large - small <= 8 * (ws[1] - ws[0]) + 2**16
     assert large <= 8 * ws[1] + 2**21
+
+
+def test_score_contributions_peak_is_under_three_n_by_3_arrays():
+    # n = 10^4, three tested and three nuisance columns: the information
+    # blocks come first and free each copy of X once it is read, and the
+    # tested and nuisance copies are then scaled in place, so nu, nu_nuis
+    # and the residuals are the most held at once; holding every copy
+    # and product together took about 6.3 (n, 3) arrays
+    rng = np.random.default_rng(149)
+    n = 10**4
+    X = rng.normal(size=(n, 5))
+    y = rng.poisson(np.exp(0.3 + 0.2 * X[:, 3])).astype(float)
+    design = build_design({f"x{i}": X[:, i] for i in range(5)},
+                          tested=["x0", "x1", "x2"], nuisance=["x3", "x4"],
+                          intercept=True)
+    fit = fit_null(y, design, Poisson())
+    peak = _peak_of_second_call(lambda: score_contributions(y, fit, design, Poisson()))
+    assert peak < 3 * n * 3 * 8, peak
 
 
 def test_wide_quadratic_blocks_are_sized_by_bytes():
@@ -1122,21 +1140,29 @@ def test_without_replacement_flip_test_holds_the_plan_only_when_keys_repeat(
 
 def test_long_plans_rebuild_their_tables_for_blocks_of_at_least_1024_flips(
         monkeypatch):
-    # n = 300 is two blocks of byte tables, both built again for each
-    # block of flips; at d = 200 blocks sized by bytes alone hold 327
-    # flips, against the 256 table rows built per plan byte; blocks of
-    # at least 1024 flips build the tables at most 2 * ceil(w / 1024)
-    # times, where 327 would build them 32 times
+    # n = 300 is two blocks of byte tables, 32 and 6 plan bytes, both
+    # built again for each block of flips; at d = 200 blocks sized by
+    # bytes alone hold 327 flips, against the 256 table rows built per
+    # plan byte; blocks of at least 1024 flips build the tables
+    # 2 * ceil(w / 1024) times, where 327 would build them 32 times.  The
+    # streamed plan comes in pieces of at most 8 plan bytes, and a table
+    # block is built when the piece that starts it arrives
     import signflip.engine as engine
 
-    builds = []
+    builds, rows = [], []
 
     def counted(*args):
         builds.append(args)
         return tables(*args)
 
-    tables = engine._byte_tables
+    def pieces(*args):
+        for piece in stream(*args):
+            rows.append(piece.shape[0])
+            yield piece
+
+    tables, stream = engine._byte_tables, engine.with_replacement_chunks
     monkeypatch.setattr(engine, "_byte_tables", counted)
+    monkeypatch.setattr(engine, "with_replacement_chunks", pieces)
     n, d, w = 300, 200, 5000
     rng = np.random.default_rng(113)
     X = rng.normal(size=(n, d))
@@ -1144,7 +1170,8 @@ def test_long_plans_rebuild_their_tables_for_blocks_of_at_least_1024_flips(
                           tested=[f"x{i}" for i in range(d)], intercept=True)
     y = rng.poisson(1.0, size=n).astype(float)
     flip_test(y, design, Poisson(), w=w, seed=7)
-    assert len(builds) <= 2 * -(-w // 1024)
+    assert [len(contribs) for contribs, _ in builds] == [256, 44] * -(-w // 1024)
+    assert rows == [8, 8, 8, 8, 6] * -(-w // 1024)
 
 
 def test_flip_test_multivariate_paths():

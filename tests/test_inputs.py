@@ -1,13 +1,14 @@
 """Outside numbers: every public entry point refuses junk with its own errors.
 
-The library converts the numbers it is given through the four checks of
+The library converts the numbers it is given through the checks of
 ``signflip.exceptions``.  The property here feeds one junk value (text,
 None, complex, NaN or an infinity, a boolean, a float where an integer
 is expected, ragged or deeper nesting) to one numeric argument of a
 public function, with every other argument valid.  The call must return
 or raise DesignError or NumericalError, with no warning; and where the
 value is not a number of the kind the argument takes, it must raise
-DesignError.
+DesignError.  A choice of a named option that is not one of its allowed
+strings must raise DesignError too.
 """
 
 import math
@@ -24,6 +25,7 @@ from signflip import (
     DesignMatrix,
     NumericalError,
     Poisson,
+    SimConfig,
     build_design,
     decide,
     family_from_name,
@@ -37,6 +39,7 @@ from signflip import (
     keyed_rng,
     make_flip_plan,
     one_sample_t,
+    p_value,
     parametric_score_test,
     rao_test,
     run_scenario,
@@ -221,6 +224,38 @@ def test_public_entry_points_refuse_junk_with_their_own_errors(case, junk, poiso
         assert not _must_refuse(kind, value), f"{case}: {value!r} is an input error"
         return
     assert not _must_refuse(kind, value), f"{case} accepted {value!r}"
+
+
+# a choice of a named option: each must be one of its allowed strings
+_CHOICES = {
+    "flip_test alternative": lambda v: flip_test(_Y, _DESIGN, _FAM, w=16, alternative=v),
+    "flip_test method": lambda v: flip_test(_Y, _DESIGN, _FAM, w=16, method=v),
+    "flip_test mode": lambda v: flip_test(_Y, _DESIGN, _FAM, w=16, mode=v),
+    "flip_test vhat": lambda v: flip_test(_Y, _DESIGN, _FAM, w=16, vhat=v),
+    "decide alternative": lambda v: decide(np.arange(10.0), 0.1, v),
+    "p_value alternative": lambda v: p_value(np.arange(10.0), v),
+    "one_sample_t alternative": lambda v: one_sample_t(_Y, alternative=v),
+    "gen_hetero_normal sigma_rule": lambda v: gen_hetero_normal(5, 0.0, v),
+    "parametric_score_test alternative": lambda v: parametric_score_test(_Y, _DESIGN,
+                                                                         _FAM, v),
+    "make_flip_plan mode": lambda v: make_flip_plan(5, 8, mode=v),
+    "family_from_name name": family_from_name,
+    "scenario_config scenario": scenario_config,
+    "SimConfig scenario": lambda v: SimConfig(scenario=v).validate(),
+    "scenario_config sigma_rule": lambda v: scenario_config("hetero-t", sigma_rule=v),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHOICES))
+@pytest.mark.parametrize("value", [
+    np.array(["greater", "less"]), np.array(["basic", "x"]), np.array(["poisson"]),
+    ["a"], ("with-replacement",), None, 1, b"greater", "bogus",
+], ids=repr)
+def test_choices_are_refused_unless_one_allowed_string(case, value):
+    # each once ended in numpy's "truth value ... is ambiguous", a
+    # TypeError for an unhashable key, or a one-string array accepted
+    with pytest.raises(DesignError, match="unknown .* must be one of"):
+        _quiet(lambda: _CHOICES[case](value))
 
 
 def test_real_arrays_of_float64_are_not_copied():
