@@ -19,23 +19,23 @@ Signed sums read the bit-packed, byte-major plan through one 256-row
 lookup table per plan byte, whose row v holds the signed sums of all
 tested columns for byte value v: each plan byte of a flip costs one
 copy of a whole table row, and no dense sign matrix is formed.  The
-tables are built in blocks of at most 32 plan bytes, and the flips are
-summed, scaled and counted in blocks of 16384, fewer when d > 4 so that
-a block's sums stay within the bytes of 16384 rows of four.  A plan is
-read in pieces of one block of flips by one table block, or by 8 plan
-bytes, a quarter of one, when it is streamed; each table block is built
-when the piece that starts it arrives.  ``flip_test`` draws a
-with-replacement plan piece by piece, just before each is summed, so it
-holds one 8-byte piece of the plan, one 32-byte block of tables and one
-block of sums whatever n and w are; so does a without-replacement plan
-with n > 20 when it is the with-replacement plan (``flips.streamable``).
-Any other plan is made whole and read in slices.  A plan of one table block (n <= 256) builds
-it once, a longer one builds each table block again for each block of
-flips, which holds at least 1024 flips for that reason.  Each flip
-adds its bytes' entries in ascending byte order however the blocks and
-pieces fall, so the statistics are bit-identical to those of one whole
-table, a complementary flip still gives exactly the negated sums, and a
-quadratic form adds its squared columns in column order.
+flips are summed, scaled and counted in blocks of 16384, fewer when
+d > 4 so that a block's sums stay within the bytes of 16384 rows of
+four.  A block of flips comes in pieces of consecutive plan rows, as
+high as ``flips`` cuts them, and the tables are built in blocks of 32
+plan bytes, each at the plan row where it starts.  ``flip_test`` draws
+a with-replacement plan piece by piece, just before each is summed, so
+it holds one piece of the plan, one block of tables and one block of
+sums whatever n and w are; so does a without-replacement plan with
+n > 20 when it is the with-replacement plan (``flips.streamable``).
+Any other plan is made whole.  A plan of one table block (n <= 256)
+builds it once, a longer one builds each table block again for each
+block of flips, which holds at least 1024 flips for that reason.  Each
+flip adds its bytes' entries in ascending byte order however the
+blocks and pieces fall, so the statistics are bit-identical to those
+of one whole table, a complementary flip still gives exactly the
+negated sums, and a quadratic form adds its squared columns in column
+order.
 
 Effective scores subtract the information-weighted projection of the
 nuisance contributions, which removes the first-order effect of
@@ -67,7 +67,6 @@ FLIP_METHODS = ("basic", "effective")
 VHATS = ("identity", "inv-effective-info")
 _CHUNK = 1 << 14  # flips summed per block, at most 4 columns wide
 _BYTE_BLOCK = 32  # plan bytes per block of byte tables
-_PIECE = 8  # plan bytes per piece of a streamed plan, a divisor of _BYTE_BLOCK
 _REBUILT_FLIPS = 1 << 10  # flips per block at least, where tables are rebuilt
 
 
@@ -156,50 +155,49 @@ def _signed_sums(chunks, contribs):
     fixed-width loop and a 3-double row with a memmove; each plan byte
     costs one gather of whole rows.  ``chunks`` holds the pieces of
     consecutive blocks of flips, the first block as long as any, each
-    block as its (<= r, m) pieces in ascending row order, as
-    ``FlipPlan.chunks`` gives them, with r a divisor of ``_BYTE_BLOCK``,
-    so that no piece straddles two table blocks.  A table block is built
-    when the piece that starts it arrives, and the block's sums are
-    yielded after its last piece; they overwrite the last block's, so
-    nothing grows with w, and neither the tables nor a piece grows with
-    n.  A plan of one table block (n <= 256) builds its tables once, a
-    longer plan builds every table block again for each block of flips.
-    Each entry depends only on the 8 rows of its byte, and each flip adds
-    its bytes' entries in ascending byte order, so the sums are
-    bit-identical however they are partitioned.
+    block as its (r, m) pieces of any heights r in ascending row order,
+    as ``FlipPlan.chunks`` and ``flips.with_replacement_chunks`` give
+    them.  A table block of ``_BYTE_BLOCK`` plan bytes is built at the
+    plan row that starts it, so a piece may straddle two, and the
+    block's sums are yielded after its last piece; they overwrite the
+    last block's, so nothing grows with w, and the tables do not grow
+    with n.  A plan of one table block (n <= 256) builds its tables
+    once, a longer plan builds every table block again for each block
+    of flips.  Each entry depends only on the 8 rows of its byte, and
+    each flip adds its bytes' entries in ascending byte order, so the
+    sums are bit-identical however they are partitioned.
     """
     n, d = contribs.shape
     nb = -(-n // 8)
     width = _width(d)
     tab = out = None
-    b0 = 0
+    b = 0  # the plan row of the next byte
     for signs in chunks:
-        t0 = b0 % _BYTE_BLOCK  # the piece's first row in its table block
-        if t0 == 0 and (tab is None or nb > _BYTE_BLOCK):
-            del tab  # not held while the next is built
-            tab = _byte_tables(contribs[8 * b0 : 8 * (b0 + _BYTE_BLOCK)], width)
-        if out is None:  # not on top of the table build
-            out = np.empty((signs.shape[1], width))
-        acc = out[: signs.shape[1]]
-        for k, idx in enumerate(signs, t0):
-            if b0 == k == 0:  # the plan's first byte starts every sum
+        for idx in signs:
+            t = b % _BYTE_BLOCK  # the row in its table block
+            if t == 0 and (tab is None or nb > _BYTE_BLOCK):
+                del tab  # not held while the next is built
+                tab = _byte_tables(contribs[8 * b : 8 * (b + _BYTE_BLOCK)], width)
+            if b == 0:  # the plan's first byte starts every sum
+                if out is None:  # not on top of the table build
+                    out = np.empty((idx.size, width))
+                acc = out[: idx.size]
                 acc[...] = tab[0].take(idx, axis=0)
             else:
-                acc += tab[k].take(idx, axis=0)
-        b0 = (b0 + signs.shape[0]) % nb
-        if b0 == 0:  # the block's last piece
+                acc += tab[t].take(idx, axis=0)
+            b = (b + 1) % nb
+        if b == 0:  # the block's last piece
             yield acc
 
 
-def _statistics(contribs, n, chunks, quadratic, rows=_BYTE_BLOCK):
+def _statistics(contribs, n, chunks, quadratic):
     """The scalar or quadratic statistics of each block of flips.
 
-    ``chunks(m, rows)`` yields the pieces of a plan of n observations
-    in consecutive blocks of <= m flips, as ``FlipPlan.chunks`` does.
-    A held plan is sliced a table block at a time, since a slice costs
-    no memory but each piece costs about 2 us; a streamed plan is asked
-    for pieces of ``_PIECE`` = 8 plan bytes, so it holds 8 * m bytes at a
-    time, while the tables stay blocks of ``_BYTE_BLOCK`` = 32 plan bytes.
+    ``chunks(m)`` yields the pieces of a plan of n observations in
+    consecutive blocks of <= m flips, as ``FlipPlan.chunks`` and
+    ``flips.with_replacement_chunks`` do; their heights are the plan's
+    choice, and ``_signed_sums`` builds each table block at its first
+    row whatever they are.
     """
     contribs = finite_array("contributions", contribs)
     shape = contribs.shape
@@ -227,7 +225,7 @@ def _statistics(contribs, n, chunks, quadratic, rows=_BYTE_BLOCK):
         return stat
 
     size = _block_flips(_width(d), n)
-    return map(statistic, _signed_sums(chunks(size, rows), contribs))
+    return map(statistic, _signed_sums(chunks(size), contribs))
 
 
 def _collect(blocks, w):
@@ -272,15 +270,17 @@ def _floor_multiple(alpha, w):
 def _count(vals, t1, alternative):
     """Number of flips in ``vals`` at least as extreme as T_1 = t1.
 
-    ``alternative`` is greater, less or two-sided-abs.
+    ``alternative`` is greater, less or two-sided-abs, and ``t1`` is
+    T_1 exactly, not rounded through float.
     """
     if alternative == "greater":
         return int(np.count_nonzero(vals >= t1))
     if alternative == "less":
         return int(np.count_nonzero(vals <= t1))
     # |T_j| >= a as T_j >= a or T_j <= -a, with no |T| copy; at a == 0
-    # both sides hold a zero, so the lower side then counts T_j < 0
-    a = abs(t1)
+    # both sides hold a zero, so the lower side then counts T_j < 0; an
+    # integer's -|T_1| is a Python int, which cannot wrap as int8 -128 does
+    a = abs(int(t1)) if vals.dtype.kind == "i" else abs(t1)
     below = vals < -a if a == 0 else vals <= -a
     return int(np.count_nonzero(vals >= a)) + int(np.count_nonzero(below))
 
@@ -344,7 +344,7 @@ def _decide(blocks, alpha, alternative, alpha1, alpha2, method):
     counts, w = dict.fromkeys(sides, 0), 0
     for vals in blocks:
         if w == 0:
-            t1 = float(vals[0])
+            t1 = vals[0]  # not float(): an integer past 2^53 would round
         w += vals.shape[0]
         for side in sides:
             counts[side] += _count(vals, t1, side)
@@ -372,18 +372,18 @@ def _decide(blocks, alpha, alternative, alpha1, alpha2, method):
         reject = (p <= alpha if alternative == "two-sided-abs"
                   else counts[alternative] <= _floor_multiple(alpha, w))
 
-    return TestResult(statistic=t1, p_value=float(p), reject=bool(reject),
+    return TestResult(statistic=float(t1), p_value=float(p), reject=bool(reject),
                       alpha=float(alpha), alternative=alternative, method=method)
 
 
 def _contributions(y, design, family, method, vhat):
-    """The (n, d) contributions ``flip_test`` flips; the fit is not kept."""
-    null_fit = fit_null(y, design, family)
-    scores = score_contributions(y, null_fit, design, family)
+    """The (n, d) contributions ``flip_test`` flips; the fit and scores are not kept."""
+    scores = score_contributions(y, fit_null(y, design, family), design, family)
+    whitened = design.d > 1 and vhat == "inv-effective-info"
+    i_star = scores.effective_information() if whitened else None
     contribs = effective_contributions(scores) if method == "effective" else scores.nu
-    if design.d > 1 and vhat == "inv-effective-info":
-        contribs = whiten(scores.effective_information(), contribs)
-    return contribs
+    del scores  # freed before whiten, which reads only I* and the contributions
+    return whiten(i_star, contribs) if whitened else contribs
 
 
 def flip_test(y, design, family, method="effective", alternative="two-sided-abs",
@@ -408,9 +408,9 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     n, w, seed = check_plan(design.n, w, mode, seed)
     contribs = _contributions(y, design, family, method, vhat)
     if streamable(n, w, mode, seed):  # drawn piece by piece, never held whole
-        chunks, rows = partial(with_replacement_chunks, n, w, seed), _PIECE
+        chunks = partial(with_replacement_chunks, n, w, seed)
     else:  # distinct flips are found in the whole plan
-        chunks, rows = make_flip_plan(n, w, mode=mode, seed=seed).chunks, _BYTE_BLOCK
-    stats = _statistics(contribs, n, chunks, design.d > 1, rows)
+        chunks = make_flip_plan(n, w, mode=mode, seed=seed).chunks
+    stats = _statistics(contribs, n, chunks, design.d > 1)
     result = _decide(stats, alpha, alternative, None, None, f"flip-{method}")
     return replace(result, w=w, seed=seed)

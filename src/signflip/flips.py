@@ -13,13 +13,12 @@ signs.
 Flips come from one counter-based Philox stream keyed by (seed, plan
 stream), each in [0, 2^64), so the plan for a given (n, w, mode, seed)
 is identical regardless of how the downstream statistics are scheduled
-or chunked.  A with-replacement plan can also be drawn in pieces of a
-few plan bytes of one block of flips (``with_replacement_chunks``), so
-the whole plan is never held; ``make_flip_plan`` takes it as one piece.
-Each piece is read by ``_Reader``, the one reader of the stream from
-any byte on.  A without-replacement plan with n > 20 is that same plan
-whenever the first 8 bytes of its flips all differ (``streamable``), so
-it can be drawn the same way.
+or chunked.  A with-replacement plan can also be drawn in pieces of 8
+plan bytes of one block of flips (``with_replacement_chunks``), so the
+whole plan is never held; each piece is read by ``_Reader``, the one
+reader of the stream from any byte on.  A without-replacement plan with
+n > 20 is that same plan whenever the first 8 bytes of its flips, their
+keys, all differ (``streamable``), so it can be drawn the same way.
 
 Modes
 -----
@@ -51,6 +50,7 @@ _EXHAUSTIVE_MAX_N = 20
 SEED_MAX = (1 << 64) - 1  # a seed or stream is one 64-bit word of the Philox key
 _PLAN_STREAM = 0x666C6970  # distinguishes plan streams from other keyed streams
 _WORD = np.dtype("<u8")  # the stream's bytes are its words, little-endian
+_KEY_BYTES = 8  # plan bytes of a flip's key, and per streamed piece
 _KEY_FLIPS = 1 << 13  # flips per block of key bytes, 64 KiB
 
 
@@ -120,15 +120,9 @@ class FlipPlan:
         bits = np.unpackbits(self.signs.T, axis=1, count=self.n, bitorder="little")
         return 1 - 2 * bits.astype(np.int8)
 
-    def chunks(self, size, rows):
-        """The pieces ``with_replacement_chunks`` yields, sliced from ``signs``.
-
-        For each block of m <= size consecutive flips, its (<= rows, m)
-        slices in ascending row order.
-        """
-        nb = self.signs.shape[0]
-        return (self.signs[b0 : b0 + rows, s : s + size]
-                for s in range(0, self.w, size) for b0 in range(0, nb, rows))
+    def chunks(self, size):
+        """The (ceil(n/8), m) slice of ``signs`` for each block of m <= size flips."""
+        return (self.signs[:, s : s + size] for s in range(0, self.w, size))
 
 
 def _pack_codes(codes, n):
@@ -163,11 +157,17 @@ def _random_flips(rng, n, w):
     return out
 
 
+def _first_draw(rng, n, w):
+    """The with-replacement plan: w flips of ``_random_flips``, flip 0 cleared."""
+    signs = _random_flips(rng, n, w)
+    signs[:, 0] = 0
+    return signs
+
+
 def _keys(signs):
-    """uint64 key per column from its first 8 bytes (exact for nb <= 8)."""
-    keys = np.zeros(signs.shape[1], dtype=np.uint64)
-    for b in range(min(signs.shape[0], 8)):
-        keys |= signs[b].astype(np.uint64) << np.uint64(8 * b)
+    """uint64 key per column, whose byte b is plan byte b < 8 (exact for nb <= 8)."""
+    keys = np.zeros(signs.shape[1], dtype=_WORD)
+    keys.view(np.uint8).reshape(-1, _KEY_BYTES)[:, : signs.shape[0]] = signs[:_KEY_BYTES].T
     return keys
 
 
@@ -183,7 +183,7 @@ def _first_occurrences(signs):
     ranked = keys[order]
     new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
     first = np.minimum.reduceat(order, np.flatnonzero(new))  # earliest of each key
-    if nb > 8:
+    if nb > _KEY_BYTES:
         # columns that share a key may differ past byte 8: compare them in full
         shared = ~new | np.append(~new[1:], False)
         tied = np.sort(order[shared])
@@ -205,8 +205,7 @@ def _sample_distinct(rng, n, w):
     holds 1.25 times the draws expected to fill the gap, given the share
     of flips not yet seen, so the loop ends even when w is 2^n.
     """
-    signs = _random_flips(rng, n, w)
-    signs[:, 0] = 0
+    signs = _first_draw(rng, n, w)
     kept = _first_occurrences(signs)
     if kept.size == w:
         return signs
@@ -223,7 +222,7 @@ def _sample_distinct(rng, n, w):
         repeat = np.empty(keys.size, dtype=bool)
         # seen holds the identity's key 0, so each key has a predecessor there
         repeat[by_key] = seen[np.searchsorted(seen, ranked, "right") - 1] == ranked
-        if signs.shape[0] > 8 and repeat.any():
+        if signs.shape[0] > _KEY_BYTES and repeat.any():
             # a shared key repeats a kept flip only if the columns agree in full
             twins = signs[:, np.isin(_keys(signs), keys[repeat])]
             pooled = _first_occurrences(np.concatenate((twins, new[:, repeat]), axis=1))
@@ -285,29 +284,30 @@ class _Reader:
         return raw[:k]
 
 
-def with_replacement_chunks(n, w, seed, size, rows):
-    """The with-replacement plan in pieces of at most ``rows`` plan bytes.
+def with_replacement_chunks(n, w, seed, size):
+    """The with-replacement plan in pieces of at most 8 plan bytes, a flip's key.
 
-    For each block of m <= size consecutive flips, yields its
-    (<= rows, m) pieces in ascending row order; stacked, a block's pieces
-    are its columns of ``make_flip_plan(n, w, seed=seed).signs`` byte for
-    byte, with n, w and seed as ``check_plan`` returns them.  Row b of
-    the plan is stream bytes b*w .. b*w + w - 1.  A plan of at most
+    For each block of m <= size consecutive flips, yields its (<= 8, m)
+    pieces in ascending row order; stacked, a block's pieces are its
+    columns of ``make_flip_plan(n, w, seed=seed).signs`` byte for byte,
+    with n, w and seed as ``check_plan`` returns them.  Row b of the
+    plan is stream bytes b*w .. b*w + w - 1.  A plan of at most
     ``size`` flips is one block, whose rows are consecutive stream bytes:
     one reader reads each piece whole, as a new array.  A longer plan
     reads each row's m bytes from the row's own reader into one reused
-    (rows, size) array.  Either way a piece holds only until the next is
-    drawn, so nothing grows with n or w.
+    (8, size) array.  Either way a piece holds only until the next is
+    drawn, so nothing grows with n or w.  The kernel sums pieces of any
+    height, building each table block at its first plan row.
     """
     nb = -(-n // 8)
     key = _key(seed, _PLAN_STREAM)
     one_block = w <= size  # a Philox costs ~20 us to make: one reader, not nb
     readers = [_Reader(key)] if one_block else [_Reader(key, b * w) for b in range(nb)]
-    piece = None if one_block else np.empty((min(rows, nb), size), dtype=np.uint8)
+    piece = None if one_block else np.empty((min(_KEY_BYTES, nb), size), dtype=np.uint8)
     for start in range(0, w, size):
         m = min(size, w - start)
-        for b0 in range(0, nb, rows):
-            r = min(rows, nb - b0)
+        for b0 in range(0, nb, _KEY_BYTES):
+            r = min(_KEY_BYTES, nb - b0)
             if one_block:
                 out = readers[0].read(r * w).reshape(r, w)
             else:
@@ -327,19 +327,18 @@ def streamable(n, w, mode, seed):
     A with-replacement plan is.  A without-replacement plan with n > 20
     is when the first min(8, ceil(n/8)) plan bytes differ between every
     two of its flips, identity included: ``_sample_distinct`` then keeps
-    its first draw, which is the with-replacement plan.  These key bytes,
-    8 per flip, are read first, a block of ``_KEY_FLIPS`` flips at a
+    its first draw, which is the with-replacement plan.  These keys,
+    one per flip, are read first, a block of ``_KEY_FLIPS`` flips at a
     time; at n >= 64 two keys agree with probability about w^2 / 2^65.
     """
     if mode != "without-replacement":
         return mode == "with-replacement"
     if n <= _EXHAUSTIVE_MAX_N:
         return False
-    keys = np.zeros(w, dtype=_WORD)  # as _keys: byte b of the key is plan byte b
-    key_bytes, start = keys.view(np.uint8).reshape(w, 8), 0
+    keys, start = np.empty(w, dtype=_WORD), 0
     # the first 8 rows of the plan of n observations are those of min(n, 64)
-    for piece in with_replacement_chunks(min(n, 64), w, seed, _KEY_FLIPS, 8):
-        key_bytes[start : start + piece.shape[1], : piece.shape[0]] = piece.T
+    for piece in with_replacement_chunks(min(n, 64), w, seed, _KEY_FLIPS):
+        keys[start : start + piece.shape[1]] = _keys(piece)
         start += piece.shape[1]
     keys.sort()
     lower, upper = keys[:-1], keys[1:]
@@ -357,7 +356,7 @@ def make_flip_plan(n, w, mode="with-replacement", seed=0):
     if mode == "exhaustive":
         signs = _pack_codes(np.arange(w), n)
     elif mode == "with-replacement":
-        signs = next(with_replacement_chunks(n, w, seed, w, -(-n // 8)))
+        signs = _first_draw(keyed_rng(seed, _PLAN_STREAM), n, w)
     elif n <= _EXHAUSTIVE_MAX_N:
         rng = keyed_rng(seed, _PLAN_STREAM)
         codes = np.zeros(w, dtype=np.int64)

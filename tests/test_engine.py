@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -290,25 +291,25 @@ def test_with_replacement_plan_reads_keyed_stream_byte_major(n):
 
 
 @settings(max_examples=150, deadline=None)
-@example(n=80, w=299, seed=0, chunk=7, rows=32)  # w % 8 != 0: rows start inside a word
-@example(n=80, w=36, seed=1, chunk=8, rows=32)
-@example(n=80, w=40, seed=2, chunk=33, rows=32)  # w % 32 != 0: inside a counter's 4 words
-@example(n=17, w=300, seed=3, chunk=33, rows=32)
-@example(n=600, w=299, seed=4, chunk=16384, rows=32)  # one block, one generator
-@example(n=600, w=299, seed=5, chunk=33, rows=32)  # n > 256, rows of their own
-@example(n=77, w=5, seed=6, chunk=16384, rows=5)  # pieces of 25 bytes: words split
+@example(n=80, w=299, seed=0, chunk=7)  # w % 8 != 0: rows start inside a word
+@example(n=80, w=36, seed=1, chunk=8)
+@example(n=80, w=40, seed=2, chunk=33)  # w % 32 != 0: inside a counter's 4 words
+@example(n=17, w=300, seed=3, chunk=33)
+@example(n=600, w=299, seed=4, chunk=16384)  # one block, one generator
+@example(n=600, w=299, seed=5, chunk=33)  # n > 256, rows of their own
+@example(n=77, w=5, seed=6, chunk=16384)  # pieces of 8 and 2 bytes: words split
 @given(
     n=st.integers(1, 80) | st.integers(257, 700),
     w=st.integers(2, 300),
     seed=st.integers(0, 2**32),
     chunk=st.sampled_from([7, 8, 33, 16384]),
-    rows=st.sampled_from([1, 5, 32]),
 )
-def test_streamed_plan_blocks_are_the_plan_columns(n, w, seed, chunk, rows):
-    # flip_test draws a with-replacement plan piece by piece, from one
-    # generator when it is one block of flips and from one per row when
-    # it is longer; stacked, the pieces must be the plan's columns,
-    # padding masked and flip 0 cleared, however the pieces fall
+def test_streamed_plan_blocks_are_the_plan_columns(n, w, seed, chunk):
+    # flip_test draws a with-replacement plan piece by piece, 8 plan
+    # bytes at a time, from one generator when it is one block of flips
+    # and from one per row when it is longer; stacked, the pieces must be
+    # the plan's columns, padding masked and flip 0 cleared, however the
+    # pieces fall, and a held plan gives one slice per block
     import signflip.engine as engine
     from signflip.flips import with_replacement_chunks
 
@@ -316,16 +317,18 @@ def test_streamed_plan_blocks_are_the_plan_columns(n, w, seed, chunk, rows):
         mp.setattr(engine, "_CHUNK", chunk)
         size = engine._block_flips(1, n)
     nb = -(-n // 8)
-    pieces = [c.copy() for c in with_replacement_chunks(n, w, seed, size, rows)]
+    pieces = [c.copy() for c in with_replacement_chunks(n, w, seed, size)]
     assert [c.shape for c in pieces] == [
-        (min(rows, nb - b0), min(size, w - s))
-        for s in range(0, w, size) for b0 in range(0, nb, rows)]
-    per_block = -(-nb // rows)
+        (min(8, nb - b0), min(size, w - s))
+        for s in range(0, w, size) for b0 in range(0, nb, 8)]
+    per_block = -(-nb // 8)
     blocks = [np.concatenate(pieces[i : i + per_block])
               for i in range(0, len(pieces), per_block)]
     plan = make_flip_plan(n, w, seed=seed)
     assert_array_equal(np.concatenate(blocks, axis=1), plan.signs)
-    assert [c.tobytes() for c in plan.chunks(size, rows)] == [c.tobytes() for c in pieces]
+    sliced = list(plan.chunks(size))
+    assert [c.tobytes() for c in sliced] == [b.tobytes() for b in blocks]
+    assert all(np.shares_memory(c, plan.signs) for c in sliced)
 
 
 @settings(max_examples=200, deadline=None)
@@ -476,7 +479,7 @@ def _all_sums(plan, contribs):
     """The signed sums of every flip, copied from each block as it comes."""
     import signflip.engine as engine
 
-    chunks = plan.chunks(engine._CHUNK, engine._BYTE_BLOCK)
+    chunks = plan.chunks(engine._CHUNK)
     return np.concatenate([b.copy() for b in engine._signed_sums(chunks, contribs)])
 
 
@@ -686,6 +689,32 @@ def test_score_contributions_peak_is_under_three_n_by_3_arrays():
     assert peak < 3 * n * 3 * 8, peak
 
 
+def test_whiten_starts_with_only_the_contributions_held(monkeypatch):
+    # the wide-n-quadratic shape: I* is taken first, then the null fit
+    # and the scores are freed, so whiten starts with the (n, 3)
+    # effective contributions alone; keeping the fit and the scores
+    # through whiten held about 3.7 (n, 3) arrays
+    import signflip.engine as engine
+
+    rng = np.random.default_rng(151)
+    n, d = 10**4, 3
+    X = 0.5 * rng.normal(size=(n, 5))
+    y = rng.poisson(np.exp(0.5 + X[:, 3:] @ [0.3, -0.2])).astype(float)
+    design = build_design({f"x{i}": X[:, i] for i in range(5)},
+                          tested=["x0", "x1", "x2"], nuisance=["x3", "x4"],
+                          intercept=True)
+    held = []
+
+    def traced(A, B):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return whiten(A, B)
+
+    monkeypatch.setattr(engine, "whiten", traced)
+    _peak_of_second_call(lambda: flip_test(y, design, Poisson(), w=100, seed=1,
+                                           vhat="inv-effective-info"))
+    assert held[-1] <= 1.5 * n * d * 8, held[-1]
+
+
 def test_wide_quadratic_blocks_are_sized_by_bytes():
     # at d = 200 a block of 16384 flips would hold two 26 MB arrays (the
     # sums and each gather's temporary); blocks of 16384 * 4 // 200 flips
@@ -873,6 +902,26 @@ def test_two_sided_abs_count_matches_an_abs_oracle(values, alpha):
     res = decide(vals, alpha, "two-sided-abs")
     assert res.p_value == p
     assert res.reject == (p <= alpha)
+
+
+@pytest.mark.parametrize("values", [np.array([-128, 3, 5, -7], np.int8),
+                                    np.array([2**53 + 1, 2**53]),
+                                    np.array([-2**63, 2**63 - 1])])
+def test_integer_statistics_are_counted_against_the_exact_t1(values):
+    # -|T_1| of int8 -128 wraps in int8, and 2^53 + 1 rounds to 2^53
+    # through float; p_value and decide both count against T_1 exactly,
+    # as the Python-int oracle does, and warn of nothing
+    t = [int(v) for v in values]
+    want = {"greater": sum(v >= t[0] for v in t) / len(t),
+            "less": sum(v <= t[0] for v in t) / len(t),
+            "two-sided-abs": sum(abs(v) >= abs(t[0]) for v in t) / len(t)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alternative, p in want.items():
+            assert p_value(values, alternative) == p, alternative
+            res = decide(values, 0.5, alternative)
+            assert res.p_value == p, alternative
+            assert type(res.statistic) is float and res.statistic == float(t[0])
 
 
 @pytest.mark.parametrize("values", [[-0.0, 0.0, -2.5, np.nan], [np.nan, 1.0, np.nan],
@@ -1138,6 +1187,34 @@ def test_without_replacement_flip_test_holds_the_plan_only_when_keys_repeat(
     assert len(calls) == (3 if held else 0)
 
 
+@pytest.mark.parametrize("byte_block", [1, 3, 5, 12])
+@pytest.mark.parametrize("n, mode, w", [(300, "with-replacement", 3000),
+                                        (12, "exhaustive", 2**12),
+                                        (20, "without-replacement", 3000)])
+@pytest.mark.parametrize("tested", [1, 3])
+def test_flip_test_is_the_same_for_table_blocks_of_any_height(
+        monkeypatch, byte_block, n, mode, w, tested):
+    # the plan decides how high its pieces are (8 plan bytes streamed, a
+    # whole held plan per block of flips) and the kernel builds each
+    # table block at the plan row that starts it, so a piece may straddle
+    # table blocks of any height and the result does not move
+    import signflip.engine as engine
+
+    rng = np.random.default_rng(n + tested)
+    X = rng.normal(size=(n, tested + 1))
+    y = rng.poisson(np.exp(0.3 + 0.2 * X[:, -1])).astype(float)
+    design = build_design({f"x{i}": X[:, i] for i in range(tested + 1)},
+                          tested=[f"x{i}" for i in range(tested)], intercept=True)
+
+    def run():
+        return flip_test(y, design, Poisson(), w=w, mode=mode, seed=3,
+                         vhat="inv-effective-info")
+
+    want = run()
+    monkeypatch.setattr(engine, "_BYTE_BLOCK", byte_block)
+    assert run() == want
+
+
 def test_long_plans_rebuild_their_tables_for_blocks_of_at_least_1024_flips(
         monkeypatch):
     # n = 300 is two blocks of byte tables, 32 and 6 plan bytes, both
@@ -1145,8 +1222,9 @@ def test_long_plans_rebuild_their_tables_for_blocks_of_at_least_1024_flips(
     # bytes alone hold 327 flips, against the 256 table rows built per
     # plan byte; blocks of at least 1024 flips build the tables
     # 2 * ceil(w / 1024) times, where 327 would build them 32 times.  The
-    # streamed plan comes in pieces of at most 8 plan bytes, and a table
-    # block is built when the piece that starts it arrives
+    # streamed plan comes in pieces of at most 8 plan bytes, a flip's key,
+    # which the kernel walks row by row, building each table block at the
+    # plan row that starts it
     import signflip.engine as engine
 
     builds, rows = [], []
