@@ -207,10 +207,10 @@ def build_design(table, tested, nuisance=(), intercept=True, null_value=None,
 def read_csv(path):
     """Read a headered CSV into a table dict.
 
-    UTF-8, comma separated, '.' decimal.  A column parses as numeric when
-    every entry parses as a float; otherwise it is kept as a categorical
-    string column.  An empty cell is an error, so a missing number never
-    turns its column categorical.
+    UTF-8, comma separated, '.' decimal, each header name once.  A column
+    parses as numeric when every entry parses as a float; otherwise it is
+    kept as a categorical string column.  An empty cell is an error, so a
+    missing number never turns its column categorical.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -221,6 +221,9 @@ def read_csv(path):
     if not rows:
         raise DesignError(f"{path}: empty file")
     header = [h.strip() for h in rows[0][1]]
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise DesignError(f"{path}: column {name!r} is named twice in the header")
     body = [(line, r) for line, r in rows[1:] if r]
     if any(len(r) != len(header) for _, r in body):
         raise DesignError(f"{path}: ragged rows")

@@ -323,17 +323,21 @@ def decide(values, alpha, alternative, alpha1=None, alpha2=None,
     ``values`` holds T_1..T_w, the observed statistic first.
     greater rejects iff T_1 > T_(ceil((1-alpha)w)); less rejects iff
     T_1 < T_(floor(alpha*w)+1); two-sided-tails takes the union of both
-    one-sided rules at alpha1/alpha2 (each must be a multiple of 1/w;
-    give both or neither, the default being floor((alpha/2)w)/w each);
-    two-sided-abs rejects iff its p-value is at most alpha.  Order
-    statistics run over all w values including T_1.  With
-    m = floor(alpha*w), T_1 > T_(w-m) holds exactly
+    one-sided rules at alpha1/alpha2, which are given only with
+    two-sided-tails, both or neither, as multiples of 1/w with
+    alpha1, alpha2 >= 0 and alpha1 + alpha2 <= alpha (the default is
+    floor((alpha/2)w)/w each); two-sided-abs rejects iff its p-value is
+    at most alpha.  Order statistics run over all w values including
+    T_1.  With m = floor(alpha*w), T_1 > T_(w-m) holds exactly
     when at most m flips have T_j >= T_1, and T_1 < T_(m+1) exactly when
     at most m have T_j <= T_1, ties included; the rules are applied as
     these counts, so nothing is sorted.  ``values`` is a non-empty 1-d
     array without NaN.
     """
     _check_rule(alpha, alternative)
+    if alternative != "two-sided-tails" and (alpha1 is not None or alpha2 is not None):
+        raise DesignError(f"alpha1 and alpha2 are given only with two-sided-tails, "
+                          f"not with {alternative}")
     _check_values(values)
     return _decide([values], alpha, alternative, alpha1, alpha2, method)
 
@@ -363,8 +367,12 @@ def _decide(blocks, alpha, alternative, alpha1, alpha2, method):
             raise DesignError(
                 "two-sided-tails needs alpha1 and alpha2 to be multiples of 1/w"
             )
+        m1, m2 = round(m1), round(m2)
+        if min(m1, m2) < 0 or m1 + m2 > _floor_multiple(alpha, w):
+            raise DesignError(f"two-sided-tails needs alpha1, alpha2 >= 0 and alpha1 + alpha2 "
+                              f"<= alpha, got {alpha1} and {alpha2} at alpha={alpha}")
         below, above = counts["less"], counts["greater"]
-        reject = below <= round(m1) or above <= round(m2)
+        reject = below <= m1 or above <= m2
         # reported p combines both tail counts (not part of the decision rule)
         p = min(1.0, below / w + above / w)
     else:
@@ -394,9 +402,11 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     Fits the null model, forms per-observation score contributions
     (projected to effective scores unless ``method="basic"``), flips them
     w times and applies the decision rule, counting each block of flips
-    as it is summed; a with-replacement plan, and a without-replacement
-    one with n > 20 whose flips differ in their first 8 bytes, is drawn
-    a piece at a time, so only that piece of it is held.  A single tested column
+    as it is summed.  A without-replacement plan's flips have distinct
+    keys: the whole flip for n <= 64, its first 64 signs past that.  A
+    with-replacement plan, and a without-replacement one with n > 20
+    whose first draw already has distinct keys, is drawn a piece at a
+    time, so only that piece of it is held.  A single tested column
     uses the scalar statistic; d > 1 uses the quadratic form with
     ``vhat`` either ``"identity"`` or ``"inv-effective-info"``, the
     latter by whitening the contributions with the effective information

@@ -26,10 +26,10 @@ with-replacement
     Flips 2..w i.i.d. uniform on {-1,+1}^n: byte b of flip j is byte
     ``b*w + j`` of the stream, with the padding bits masked off.
 without-replacement
-    Flips 2..w distinct, uniform on {-1,+1}^n minus the identity; needs
-    w <= 2^n.  For n <= 20 this draws distinct codes of the exhaustive
-    enumeration, for larger n it draws packed flips in batches and
-    rejects repeats.
+    Flips 2..w uniform, with distinct keys, none the identity's: the whole
+    flip for n <= 64, its first 64 signs past that; needs w <= 2^n.  For
+    n <= 20 this draws distinct codes of the exhaustive enumeration, for
+    larger n it draws packed flips in batches and rejects repeated keys.
 exhaustive
     All 2^n sign vectors exactly once (w must equal 2^n, n <= 20),
     ordered as binary counting with the last coordinate moving fastest.
@@ -165,73 +165,53 @@ def _first_draw(rng, n, w):
 
 
 def _keys(signs):
-    """uint64 key per column, whose byte b is plan byte b < 8 (exact for nb <= 8)."""
+    """uint64 key per column, whose byte b is plan byte b < 8: its first 64 signs."""
     keys = np.zeros(signs.shape[1], dtype=_WORD)
     keys.view(np.uint8).reshape(-1, _KEY_BYTES)[:, : signs.shape[0]] = signs[:_KEY_BYTES].T
     return keys
 
 
 def _first_occurrences(signs):
-    """Indices of the first occurrence of each distinct column, in order.
-
-    Columns are keyed by ``_keys``, which is exact for plans of at most
-    8 bytes; longer columns that share a key are then compared in full.
-    """
-    nb = signs.shape[0]
+    """(first, keys): the distinct ``_keys``, sorted, and the earliest column of each."""
     keys = _keys(signs)
     order = np.argsort(keys)
-    ranked = keys[order]
-    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    first = np.minimum.reduceat(order, np.flatnonzero(new))  # earliest of each key
-    if nb > _KEY_BYTES:
-        # columns that share a key may differ past byte 8: compare them in full
-        shared = ~new | np.append(~new[1:], False)
-        tied = np.sort(order[shared])
-        by_content = np.lexsort(signs[::-1, tied])  # stable: the earliest leads
-        grouped = signs[:, tied[by_content]]
-        lead = np.ones(tied.size, dtype=bool)
-        lead[1:] = np.any(grouped[:, 1:] != grouped[:, :-1], axis=0)
-        first = np.concatenate((order[new & ~shared], tied[by_content[lead]]))
-    first.sort()
-    return first
+    keys = keys[order]
+    new = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return np.minimum.reduceat(order, new), keys[new]
 
 
 def _sample_distinct(rng, n, w):
-    """w distinct packed flips, flip 0 the identity, the rest drawn uniformly.
+    """w flips of distinct keys, flip 0 the identity, the rest drawn uniformly.
 
-    Each batch of draws is deduplicated, then checked against the sorted
-    keys of the flips kept so far, the zero flip 0 included, so only the
-    batch is sorted and the identity is never drawn again.  A batch
-    holds 1.25 times the draws expected to fill the gap, given the share
-    of flips not yet seen, so the loop ends even when w is 2^n.
+    Distinct keys: the whole flip for n <= 64, its first 64 signs past
+    that.  XOR by a flip g of the plan permutes the keys and takes g's to
+    the identity's 0, so it maps the plans of distinct keys onto
+    themselves and leaves their law unchanged, which is what exactness
+    needs (Hemerik and Goeman, TEST 2018).  Past n = 64 the plan differs
+    from one of distinct flips with probability about w^2 / 2^65.  Each
+    batch's keys are sorted once, for its repeats and for the lookup in
+    the sorted keys kept so far (the identity's 0 among them); its
+    earliest fresh draws are kept.  A batch holds 1.25 times the draws
+    expected to fill the gap, so the loop ends even when w is 2^n.
     """
     signs = _first_draw(rng, n, w)
-    kept = _first_occurrences(signs)
-    if kept.size == w:
+    first, seen = _first_occurrences(signs)
+    if first.size == w:
         return signs
-    signs = signs[:, kept]
-    seen = np.sort(_keys(signs))
+    signs = signs[:, np.sort(first)]
     while signs.shape[1] < w:
         missing, unseen = w - signs.shape[1], (1 << n) - signs.shape[1]
         batch = 5 * missing * (1 << n) // (4 * unseen) + 16
         new = _random_flips(rng, n, batch)
-        new = new[:, _first_occurrences(new)]
-        keys = _keys(new)
-        by_key = np.argsort(keys)  # sorted lookups into seen stay in cache
-        ranked = keys[by_key]
-        repeat = np.empty(keys.size, dtype=bool)
+        first, keys = _first_occurrences(new)
         # seen holds the identity's key 0, so each key has a predecessor there
-        repeat[by_key] = seen[np.searchsorted(seen, ranked, "right") - 1] == ranked
-        if signs.shape[0] > _KEY_BYTES and repeat.any():
-            # a shared key repeats a kept flip only if the columns agree in full
-            twins = signs[:, np.isin(_keys(signs), keys[repeat])]
-            pooled = _first_occurrences(np.concatenate((twins, new[:, repeat]), axis=1))
-            unmatched = pooled[pooled >= twins.shape[1]] - twins.shape[1]
-            repeat[np.flatnonzero(repeat)[unmatched]] = False
-        fresh = np.flatnonzero(~repeat)[:missing]
-        signs = np.concatenate((signs, new[:, fresh]), axis=1)
-        added = np.sort(keys[fresh])
-        seen = np.insert(seen, np.searchsorted(seen, added), added)
+        fresh = seen[np.searchsorted(seen, keys, "right") - 1] != keys
+        first, keys = first[fresh], keys[fresh]
+        if first.size > missing:  # the earliest draws complete the plan
+            kept = first < np.partition(first, missing)[missing]
+            first, keys = first[kept], keys[kept]
+        signs = np.concatenate((signs, new[:, np.sort(first)]), axis=1)
+        seen = np.insert(seen, np.searchsorted(seen, keys), keys)
     return signs
 
 

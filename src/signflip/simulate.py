@@ -406,16 +406,16 @@ def parse_setting(key, text):
 def read_config_file(path):
     """Parse a flat key=value scenario file into keyword overrides.
 
-    Each value parses with ``parse_setting``.  Lines starting with '#'
-    are ignored.
+    Each value parses with ``parse_setting``, and each key is set once.
+    Lines starting with '#' are ignored.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DesignError(f"{path}: cannot read: {exc}") from None
-    overrides = {}
-    for line in lines:
+    overrides, set_on = {}, {}
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -423,5 +423,9 @@ def read_config_file(path):
             raise DesignError(f"bad config line {line!r}; expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in set_on:
+            raise DesignError(f"{path}: {key!r} is set on line {set_on[key]} "
+                              f"and again on line {number}")
+        set_on[key] = number
         overrides[key] = parse_setting(key, value.strip())
     return overrides

@@ -230,6 +230,16 @@ def test_cmd_test_blank_csv_cell_exits_2(tmp_path, capsys):
     assert "'x2'" in err and "line 3" in err
 
 
+def test_cmd_test_repeated_csv_column_exits_2(tmp_path, capsys):
+    # the test ran on the last of the two x columns
+    path = tmp_path / "twice.csv"
+    path.write_text("y,x,x\n1,0.5,2\n2,1.5,1\n0,-1,3\n4,2,1\n", encoding="utf-8")
+    rc = main(["test", "--data", str(path), "--response", "y", "--tested", "x",
+               "--intercept", "--family", "poisson", "--method", "effective"])
+    assert rc == 2
+    assert "'x' is named twice" in capsys.readouterr().err
+
+
 def test_cmd_test_byte_identical_repeats(warpbreaks_csv, capsys):
     args = [
         "test", "--data", warpbreaks_csv, "--response", "breaks",
@@ -331,6 +341,20 @@ def test_cmd_simulate_config_file(tmp_path, capsys):
         str(cfg), "--seed", "4",
     ])
     assert rc == 0
+
+
+def test_cmd_simulate_config_key_set_twice_exits_2(tmp_path, capsys):
+    # the second n silently won; a flag still overrides the file's one n
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n=100\nreps=5\n# n=60\nn=50\n", encoding="utf-8")
+    rc = main(["simulate", "--scenario", "hetero-t", "--config", str(cfg)])
+    assert rc == 2
+    assert "'n' is set on line 1 and again on line 4" in capsys.readouterr().err
+    cfg.write_text("n=100\nreps=5\n", encoding="utf-8")
+    out = tmp_path / "curve.csv"
+    rc = main(["simulate", "--scenario", "hetero-t", "--config", str(cfg),
+               "--n", "30", "--w", "50", "--out", str(out)])
+    assert rc == 0 and out.read_text().startswith("alpha,")
 
 
 def test_cmd_warpbreaks_report(capsys):

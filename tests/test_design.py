@@ -123,6 +123,15 @@ def test_read_csv_rejects_ragged(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("header", ["y,x,x", "y,x, x", "x,y,x"])
+def test_read_csv_refuses_a_repeated_column_name(tmp_path, header):
+    # the last x was kept and the first silently dropped
+    path = tmp_path / "twice.csv"
+    path.write_text(f"{header}\n1,2,3\n4,5,6\n", encoding="utf-8")
+    with pytest.raises(DesignError, match="column 'x' is named twice"):
+        read_csv(path)
+
+
 def test_read_csv_rejects_unreadable_files(tmp_path):
     with pytest.raises(DesignError, match="cannot read"):
         read_csv(tmp_path / "missing.csv")

@@ -181,15 +181,30 @@ def test_distinct_sampler_fills_every_row_when_w_is_two_to_the_n():
     for n in (1, 3, 8, 9):
         signs = _sample_distinct(keyed_rng(n), n, 2**n)
         assert signs.shape == (-(-n // 8), 2**n)
-        assert _first_occurrences(signs).size == 2**n
+        assert _first_occurrences(signs)[0].size == 2**n
         assert not signs[:, 0].any()
+
+
+def _key_of(column):
+    """The integer key of a packed flip: its first 8 bytes, little-endian."""
+    return int.from_bytes(column[:8].tobytes(), "little")
+
+
+def _assert_xor_keeps_keys_distinct(signs, g):
+    # the exactness of a plan of distinct keys: XOR by its flip g maps it
+    # to w flips whose keys are again pairwise distinct, one of them 0
+    from signflip.flips import _keys
+
+    keys = _keys(signs ^ signs[:, [g]])
+    assert np.unique(keys).size == keys.size
+    assert (keys == 0).any()
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_first_occurrences_matches_dict_oracle(data):
     # few distinct columns over a 4-symbol byte alphabet make ties common;
-    # a shared 8-byte prefix makes the uint64 keys of long columns collide
+    # a shared 8-byte prefix gives long columns that differ one key
     from signflip.flips import _first_occurrences
 
     nb = data.draw(st.integers(1, 13), label="nb")
@@ -202,15 +217,18 @@ def test_first_occurrences_matches_dict_oracle(data):
         signs[:8] = signs[:8, :1]
     first = {}
     for j in range(signs.shape[1]):
-        first.setdefault(signs[:, j].tobytes(), j)
-    assert _first_occurrences(signs).tolist() == sorted(first.values())
+        first.setdefault(_key_of(signs[:, j]), j)
+    got, keys = _first_occurrences(signs)
+    assert keys.tolist() == sorted(first)
+    assert got.tolist() == [first[k] for k in sorted(first)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_distinct_sampler_matches_dict_oracle(data):
     # draws come from a small pool of columns, so a batch repeats itself and
-    # the flips kept so far; a shared 8-byte prefix makes long keys collide
+    # the flips kept so far; a shared 8-byte prefix gives every other long
+    # column of the pool one key, so only the first of them drawn is kept
     from signflip import flips
 
     nb = data.draw(st.integers(1, 13), label="nb")
@@ -218,8 +236,8 @@ def test_distinct_sampler_matches_dict_oracle(data):
     pool = data.draw(st.lists(column, min_size=1, max_size=12), label="pool")
     pool = np.array(pool, dtype=np.uint8).T.copy()
     if nb > 8 and data.draw(st.booleans(), label="shared prefix"):
-        pool[:8] = pool[:8, :1]
-    distinct = {bytes(nb)} | {col.tobytes() for col in pool.T}
+        pool[:8, ::2] = pool[:8, :1]
+    distinct = {0} | {_key_of(col) for col in pool.T}
     assume(len(distinct) >= 2)
     w = data.draw(st.integers(2, len(distinct)), label="w")
     picker = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -234,8 +252,35 @@ def test_distinct_sampler_matches_dict_oracle(data):
         signs = flips._sample_distinct(None, 8 * nb, w)
     first = {}
     for col in np.concatenate(drawn, axis=1).T:
-        first.setdefault(col.tobytes(), col)
+        first.setdefault(_key_of(col), col)
     assert_array_equal(signs, np.array(list(first.values())[:w]).T)
+    _assert_xor_keeps_keys_distinct(signs, data.draw(st.integers(0, w - 1), label="g"))
+
+
+def test_distinct_sampler_keeps_one_of_two_long_flips_that_share_a_key():
+    # flips 1 and 2 of the first draw agree in their first 64 signs and
+    # differ in sign 65: the key decides, so flip 2 is a repeat and the
+    # third flip comes from the next draw
+    from signflip import flips
+
+    one, twin, other = np.zeros((3, 9, 1), dtype=np.uint8)
+    one[0] = twin[0] = other[1] = 1
+    twin[8] = 1
+    draws = iter([np.hstack((one, one, twin)), np.hstack((twin, other, one))])
+    with mock.patch.object(flips, "_random_flips", lambda rng, n, count: next(draws)):
+        signs = flips._sample_distinct(None, 72, 3)
+    assert_array_equal(signs, np.hstack((np.zeros_like(one), one, other)))
+    for g in range(3):
+        _assert_xor_keeps_keys_distinct(signs, g)
+
+
+@pytest.mark.parametrize("n", [21, 40, 70, 200])
+def test_without_replacement_plans_keep_distinct_keys_under_xor_by_a_flip(n):
+    w = 5000
+    for seed in range(3):
+        signs = make_flip_plan(n, w, "without-replacement", seed=seed).signs
+        for g in (1, w // 2, w - 1):
+            _assert_xor_keeps_keys_distinct(signs, g)
 
 
 def test_distinct_sampler_stream_is_pinned():
@@ -974,6 +1019,23 @@ def test_two_sided_tails_needs_both_tail_levels_or_neither():
         decide(vals, 0.1, "two-sided-tails", alpha2=0.01)
     assert decide(vals, 0.1, "two-sided-tails").reject
     assert not decide(vals, 0.1, "two-sided-tails", alpha1=0.01, alpha2=0.0).reject
+
+
+def test_tail_levels_are_refused_unless_two_sided_tails_can_use_them():
+    # each was accepted: tail levels were ignored under another alternative,
+    # and alpha1 = alpha2 = 0.5 rejected at T_1 = the median while the
+    # result reported alpha = 0.05
+    vals = np.concatenate([[49.5], np.arange(99.0)])
+    for alternative in ("greater", "less", "two-sided-abs"):
+        for levels in (dict(alpha1=0.5, alpha2=0.5), dict(alpha1=0.01), dict(alpha2=0.0)):
+            with pytest.raises(DesignError, match="only with two-sided-tails"):
+                decide(vals, 0.05, alternative, **levels)
+    for alpha1, alpha2 in ((0.5, 0.5), (-0.01, 0.05), (0.03, 0.03), (0.06, 0.0)):
+        with pytest.raises(DesignError, match="alpha1 \\+ alpha2 <= alpha"):
+            decide(vals, 0.05, "two-sided-tails", alpha1=alpha1, alpha2=alpha2)
+    # the sum is compared as multiples of 1/w, where 0.1 + 0.2 > 0.3 in floats
+    assert not decide(vals, 0.3, "two-sided-tails", alpha1=0.1, alpha2=0.2).reject
+    assert not decide(vals, 0.05, "two-sided-tails", alpha1=0.05, alpha2=0.0).reject
 
 
 def test_two_sided_tails_union_of_one_sided_rules():

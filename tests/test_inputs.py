@@ -82,10 +82,10 @@ _CASES = {
     "parametric_score_test alpha": (
         "finite", 0.05, lambda v: parametric_score_test(_Y, _DESIGN, _FAM, alpha=v)),
     "decide alpha": ("finite", 0.1, lambda v: decide(np.arange(10.0), v, "greater")),
-    "decide alpha1": ("finite", 0.1, lambda v: decide(np.arange(10.0), 0.1,
+    "decide alpha1": ("finite", 0.1, lambda v: decide(np.arange(10.0), 0.2,
                                                       "two-sided-tails", alpha1=v,
                                                       alpha2=0.1)),
-    "decide alpha2": ("finite", 0.1, lambda v: decide(np.arange(10.0), 0.1,
+    "decide alpha2": ("finite", 0.1, lambda v: decide(np.arange(10.0), 0.2,
                                                       "two-sided-tails", alpha1=0.1,
                                                       alpha2=v)),
     "Binomial trials": ("finite", 1, lambda v: Binomial(v)),

@@ -299,6 +299,14 @@ def test_read_config_file(tmp_path):
         read_config_file(tmp_path / "missing.txt")
 
 
+def test_read_config_file_refuses_a_key_set_twice(tmp_path):
+    # n=100 then n=50 gave 50; a blank or comment line keeps its number
+    path = tmp_path / "cfg.txt"
+    path.write_text("n=100\n\n# n=70\nreps=5\n n = 50\n", encoding="utf-8")
+    with pytest.raises(DesignError, match="'n' is set on line 1 and again on line 5"):
+        read_config_file(path)
+
+
 def test_parse_setting_reads_an_integer_field_exactly():
     # a seed past 2^53 once went through float and named another plan stream
     assert parse_setting("seed", "9007199254740993") == 9007199254740993
