@@ -207,13 +207,14 @@ def build_design(table, tested, nuisance=(), intercept=True, null_value=None,
 def read_csv(path):
     """Read a headered CSV into a table dict.
 
-    UTF-8, comma separated, '.' decimal, each header name once.  A column
-    parses as numeric when every entry parses as a float; otherwise it is
-    kept as a categorical string column.  An empty cell is an error, so a
+    UTF-8 (a leading byte-order mark is dropped), comma separated, '.'
+    decimal, each header name non-empty and given once.  A column parses
+    as numeric when every entry parses as a float; otherwise it is kept
+    as a categorical string column.  An empty cell is an error, so a
     missing number never turns its column categorical.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, r) for r in reader]
     except (OSError, UnicodeDecodeError) as exc:
@@ -222,6 +223,8 @@ def read_csv(path):
         raise DesignError(f"{path}: empty file")
     header = [h.strip() for h in rows[0][1]]
     for j, name in enumerate(header):
+        if not name:
+            raise DesignError(f"{path}: column {j + 1} has an empty name in the header")
         if name in header[:j]:
             raise DesignError(f"{path}: column {name!r} is named twice in the header")
     body = [(line, r) for line, r in rows[1:] if r]

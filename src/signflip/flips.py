@@ -13,12 +13,12 @@ signs.
 Flips come from one counter-based Philox stream keyed by (seed, plan
 stream), each in [0, 2^64), so the plan for a given (n, w, mode, seed)
 is identical regardless of how the downstream statistics are scheduled
-or chunked.  A with-replacement plan can also be drawn in pieces of 8
-plan bytes of one block of flips (``with_replacement_chunks``), so the
-whole plan is never held; each piece is read by ``_Reader``, the one
-reader of the stream from any byte on.  A without-replacement plan with
-n > 20 is that same plan whenever the first 8 bytes of its flips, their
-keys, all differ (``streamable``), so it can be drawn the same way.
+or chunked.  ``_Reader`` reads every byte of it, from any byte on.  A
+with-replacement plan can also be drawn in pieces of one block of flips
+(``with_replacement_chunks``), so the whole plan is never held.  A
+without-replacement plan with n > 20 is that same plan whenever the
+first 8 bytes of its flips, their keys, all differ (``streamable``), so
+it can be drawn the same way.
 
 Modes
 -----
@@ -50,8 +50,7 @@ _EXHAUSTIVE_MAX_N = 20
 SEED_MAX = (1 << 64) - 1  # a seed or stream is one 64-bit word of the Philox key
 _PLAN_STREAM = 0x666C6970  # distinguishes plan streams from other keyed streams
 _WORD = np.dtype("<u8")  # the stream's bytes are its words, little-endian
-_KEY_BYTES = 8  # plan bytes of a flip's key, and per streamed piece
-_KEY_FLIPS = 1 << 13  # flips per block of key bytes, 64 KiB
+_KEY_BYTES = 8  # plan bytes of a flip's key
 
 
 def _key(seed, stream):
@@ -102,8 +101,8 @@ class FlipPlan:
         """DesignError unless the fields are a plan the kernels can read.
 
         (n, w, mode, seed) must pass ``check_plan``, which also makes n, w
-        and seed ints; signs must be a (ceil(n/8), w) uint8 array whose
-        column 0 is the identity flip.
+        and seed ints; signs must be a (ceil(n/8), w) uint8 array, its
+        column 0 the identity flip and its padding bits past n zero.
         """
         for name, value in zip(("n", "w", "seed"),
                                check_plan(self.n, self.w, self.mode, self.seed)):
@@ -114,6 +113,8 @@ class FlipPlan:
             raise DesignError(f"plan signs must be a {shape} uint8 array")
         if np.count_nonzero(signs[:, 0]):  # a third of the time of .any()
             raise DesignError("plan flip 0 must be the identity, with no bit set")
+        if self.n % 8 and np.count_nonzero(signs[-1] >= 1 << self.n % 8):
+            raise DesignError(f"plan bits past n={self.n} must be zero")
 
     def dense(self):
         """The (w, n) int8 matrix of +-1 signs; row 0 is all +1."""
@@ -135,31 +136,27 @@ def _pack_codes(codes, n):
     return np.packbits(bits, axis=0, bitorder="little")
 
 
-def _stream_bytes(bits, words):
-    """The next ``words`` 64-bit outputs of ``bits`` as little-endian bytes."""
-    return bits.random_raw(words).astype(_WORD, copy=False).view(np.uint8)
-
-
 def _mask_padding(signs, n):
     """Clear the bits past n in the last byte row."""
     if n % 8:
         signs[-1] &= (1 << (n % 8)) - 1
 
 
-def _random_flips(rng, n, w):
-    """w uniform packed flips, byte-major: byte b of flip j is stream byte b*w + j.
+def _draw(reader, n, w):
+    """w uniform packed flips, byte-major: byte b of flip j is byte b*w + j of the draw.
 
-    The padding bits past n are masked off.
+    The draw reads whole words, and keeps the first ceil(n/8) * w bytes,
+    so the next draw starts at a word too.  The padding past n is masked.
     """
     nb = -(-n // 8)
-    out = _stream_bytes(rng.bit_generator, -(-nb * w // 8))[: nb * w].reshape(nb, w)
+    out = reader.read(-(-nb * w // 8) * 8)[: nb * w].reshape(nb, w)
     _mask_padding(out, n)
     return out
 
 
-def _first_draw(rng, n, w):
-    """The with-replacement plan: w flips of ``_random_flips``, flip 0 cleared."""
-    signs = _random_flips(rng, n, w)
+def _first_draw(reader, n, w):
+    """The with-replacement plan: w flips of ``_draw``, flip 0 cleared."""
+    signs = _draw(reader, n, w)
     signs[:, 0] = 0
     return signs
 
@@ -180,7 +177,7 @@ def _first_occurrences(signs):
     return np.minimum.reduceat(order, new), keys[new]
 
 
-def _sample_distinct(rng, n, w):
+def _sample_distinct(reader, n, w):
     """w flips of distinct keys, flip 0 the identity, the rest drawn uniformly.
 
     Distinct keys: the whole flip for n <= 64, its first 64 signs past
@@ -194,7 +191,7 @@ def _sample_distinct(rng, n, w):
     earliest fresh draws are kept.  A batch holds 1.25 times the draws
     expected to fill the gap, so the loop ends even when w is 2^n.
     """
-    signs = _first_draw(rng, n, w)
+    signs = _first_draw(reader, n, w)
     first, seen = _first_occurrences(signs)
     if first.size == w:
         return signs
@@ -202,7 +199,7 @@ def _sample_distinct(rng, n, w):
     while signs.shape[1] < w:
         missing, unseen = w - signs.shape[1], (1 << n) - signs.shape[1]
         batch = 5 * missing * (1 << n) // (4 * unseen) + 16
-        new = _random_flips(rng, n, batch)
+        new = _draw(reader, n, batch)
         first, keys = _first_occurrences(new)
         # seen holds the identity's key 0, so each key has a predecessor there
         fresh = seen[np.searchsorted(seen, keys, "right") - 1] != keys
@@ -253,48 +250,47 @@ class _Reader:
     def __init__(self, key, start=0):
         counter, skip = divmod(start, 32)
         self._bits = np.random.Philox(key=key, counter=counter)
-        self._tail = _stream_bytes(self._bits, -(-skip // 8))[skip:]
+        self._tail = b""  # bytes, so it holds none of the read it came from
+        if skip:
+            self.read(skip)  # the counter's bytes before byte start
 
     def read(self, k):
         """The next k bytes, as a new array."""
-        raw = _stream_bytes(self._bits, -(-(k - self._tail.size) // 8))
-        if self._tail.size:
-            raw = np.concatenate((self._tail, raw))
-        self._tail = raw[k:].copy()  # not a view, which would keep the read's bytes
+        raw = self._bits.random_raw(-(-(k - len(self._tail)) // 8))
+        raw = raw.astype(_WORD, copy=False).view(np.uint8)
+        if self._tail:
+            raw = np.concatenate((np.frombuffer(self._tail, np.uint8), raw))
+        self._tail = raw[k:].tobytes()
         return raw[:k]
 
 
 def with_replacement_chunks(n, w, seed, size):
-    """The with-replacement plan in pieces of at most 8 plan bytes, a flip's key.
+    """The with-replacement plan in pieces, each of one block of flips.
 
-    For each block of m <= size consecutive flips, yields its (<= 8, m)
+    For each block of m <= size consecutive flips, yields its (r, m)
     pieces in ascending row order; stacked, a block's pieces are its
     columns of ``make_flip_plan(n, w, seed=seed).signs`` byte for byte,
     with n, w and seed as ``check_plan`` returns them.  Row b of the
     plan is stream bytes b*w .. b*w + w - 1.  A plan of at most
-    ``size`` flips is one block, whose rows are consecutive stream bytes:
-    one reader reads each piece whole, as a new array.  A longer plan
-    reads each row's m bytes from the row's own reader into one reused
-    (8, size) array.  Either way a piece holds only until the next is
+    ``size`` flips is one block, whose rows are consecutive stream
+    bytes: one reader reads up to 8 of them per piece.  A longer plan
+    reads each row's m bytes from the row's own reader, one row per
+    piece.  Each piece is a new array, held only until the next is
     drawn, so nothing grows with n or w.  The kernel sums pieces of any
     height, building each table block at its first plan row.
     """
     nb = -(-n // 8)
     key = _key(seed, _PLAN_STREAM)
-    one_block = w <= size  # a Philox costs ~20 us to make: one reader, not nb
-    readers = [_Reader(key)] if one_block else [_Reader(key, b * w) for b in range(nb)]
-    piece = None if one_block else np.empty((min(_KEY_BYTES, nb), size), dtype=np.uint8)
+    if w <= size:  # a Philox costs ~20 us to make: one reader, not nb
+        reader = _Reader(key)
+        pieces = [(reader, min(8, nb - b)) for b in range(0, nb, 8)]
+    else:
+        pieces = [(_Reader(key, b * w), 1) for b in range(nb)]
     for start in range(0, w, size):
         m = min(size, w - start)
-        for b0 in range(0, nb, _KEY_BYTES):
-            r = min(_KEY_BYTES, nb - b0)
-            if one_block:
-                out = readers[0].read(r * w).reshape(r, w)
-            else:
-                out = piece[:r, :m]
-                for b, row in enumerate(out, b0):
-                    row[:] = readers[b].read(m)
-            if b0 + r == nb:
+        for i, (reader, r) in enumerate(pieces, 1):
+            out = reader.read(r * m).reshape(r, m)
+            if i == len(pieces):
                 _mask_padding(out, n)
             if start == 0:
                 out[:, 0] = 0
@@ -307,24 +303,24 @@ def streamable(n, w, mode, seed):
     A with-replacement plan is.  A without-replacement plan with n > 20
     is when the first min(8, ceil(n/8)) plan bytes differ between every
     two of its flips, identity included: ``_sample_distinct`` then keeps
-    its first draw, which is the with-replacement plan.  These keys,
-    one per flip, are read first, a block of ``_KEY_FLIPS`` flips at a
-    time; at n >= 64 two keys agree with probability about w^2 / 2^65.
+    its first draw, which is the with-replacement plan.  Plan row b < 8
+    is stream bytes b*w onwards, so one reader reads each row straight
+    into byte b of the flips' 8-byte keys, holding at most 2 bytes per
+    flip more while it reads; at n >= 64 two keys agree with probability
+    about w^2 / 2^65.
     """
     if mode != "without-replacement":
         return mode == "with-replacement"
     if n <= _EXHAUSTIVE_MAX_N:
         return False
-    keys, start = np.empty(w, dtype=_WORD), 0
-    # the first 8 rows of the plan of n observations are those of min(n, 64)
-    for piece in with_replacement_chunks(min(n, 64), w, seed, _KEY_FLIPS):
-        keys[start : start + piece.shape[1]] = _keys(piece)
-        start += piece.shape[1]
+    reader, keys = _Reader(_key(seed, _PLAN_STREAM)), np.zeros(w, dtype=_WORD)
+    rows = keys.view(np.uint8).reshape(w, _KEY_BYTES).T[: -(-n // 8)]
+    for row in rows:
+        row[:] = reader.read(w)
+    _mask_padding(rows, min(n, 64))  # past n = 64 the key rows hold no padding
+    keys[0] = 0
     keys.sort()
-    lower, upper = keys[:-1], keys[1:]
-    # a block at a time: a (w,) comparison would take a byte per flip more
-    return not any(np.any(lower[s : s + _KEY_FLIPS] == upper[s : s + _KEY_FLIPS])
-                   for s in range(0, w - 1, _KEY_FLIPS))
+    return not np.any(keys[1:] == keys[:-1])
 
 
 def make_flip_plan(n, w, mode="with-replacement", seed=0):
@@ -336,12 +332,12 @@ def make_flip_plan(n, w, mode="with-replacement", seed=0):
     if mode == "exhaustive":
         signs = _pack_codes(np.arange(w), n)
     elif mode == "with-replacement":
-        signs = _first_draw(keyed_rng(seed, _PLAN_STREAM), n, w)
+        signs = _first_draw(_Reader(_key(seed, _PLAN_STREAM)), n, w)
     elif n <= _EXHAUSTIVE_MAX_N:
         rng = keyed_rng(seed, _PLAN_STREAM)
         codes = np.zeros(w, dtype=np.int64)
         codes[1:] = rng.choice((1 << n) - 1, size=w - 1, replace=False) + 1
         signs = _pack_codes(codes, n)
     else:
-        signs = _sample_distinct(keyed_rng(seed, _PLAN_STREAM), n, w)
+        signs = _sample_distinct(_Reader(_key(seed, _PLAN_STREAM)), n, w)
     return FlipPlan(n=n, w=w, mode=mode, seed=seed, signs=signs)

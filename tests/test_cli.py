@@ -240,6 +240,29 @@ def test_cmd_test_repeated_csv_column_exits_2(tmp_path, capsys):
     assert "'x' is named twice" in capsys.readouterr().err
 
 
+def test_cmd_test_unnamed_csv_column_exits_2(tmp_path, capsys):
+    # the middle column was read under the name '' and could not be tested
+    path = tmp_path / "unnamed.csv"
+    path.write_text("y,,x\n1,0.5,2\n2,1.5,1\n0,-1,3\n4,2,1\n", encoding="utf-8")
+    rc = main(["test", "--data", str(path), "--response", "y", "--tested", "x",
+               "--intercept", "--family", "poisson", "--method", "effective"])
+    assert rc == 2
+    assert "column 2 has an empty name" in capsys.readouterr().err
+
+
+def test_cmd_test_reads_a_csv_with_a_byte_order_mark(warpbreaks_csv, tmp_path, capsys):
+    # the response column was named '\ufeffbreaks', so --response breaks exited 2
+    path = tmp_path / "bom.csv"
+    with open(warpbreaks_csv, "rb") as fh:
+        path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    args = ["test", "--response", "breaks", "--tested", "wool", "--nuisance",
+            "tension", "--intercept", "--family", "poisson", "--w", "400"]
+    assert main([*args, "--data", str(path)]) == 0
+    marked = capsys.readouterr().out
+    assert main([*args, "--data", warpbreaks_csv]) == 0
+    assert marked == capsys.readouterr().out
+
+
 def test_cmd_test_byte_identical_repeats(warpbreaks_csv, capsys):
     args = [
         "test", "--data", warpbreaks_csv, "--response", "breaks",

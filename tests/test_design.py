@@ -132,6 +132,24 @@ def test_read_csv_refuses_a_repeated_column_name(tmp_path, header):
         read_csv(path)
 
 
+@pytest.mark.parametrize("header, position", [("y,,x", 2), ("y,x, ", 3), (",y,x", 1)])
+def test_read_csv_refuses_an_empty_column_name(tmp_path, header, position):
+    # the column was read under the name '', which no column list can name
+    path = tmp_path / "unnamed.csv"
+    path.write_text(f"{header}\n1,2,3\n4,5,6\n", encoding="utf-8")
+    with pytest.raises(DesignError, match=f"column {position} has an empty name"):
+        read_csv(path)
+
+
+def test_read_csv_drops_a_byte_order_mark(tmp_path):
+    # the first column was named '\ufeffy'
+    path = tmp_path / "bom.csv"
+    path.write_text("y,x\n1,2\n3,4\n", encoding="utf-8-sig")
+    table = read_csv(path)
+    assert list(table) == ["y", "x"]
+    assert_array_equal(table["y"], [1.0, 3.0])
+
+
 def test_read_csv_rejects_unreadable_files(tmp_path):
     with pytest.raises(DesignError, match="cannot read"):
         read_csv(tmp_path / "missing.csv")

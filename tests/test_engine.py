@@ -142,8 +142,8 @@ def test_seeds_outside_a_key_word_are_refused_not_wrapped(seed):
 def _hand_built_plans():
     """Field changes that each broke a hand-built FlipPlan, by name."""
     signs = make_flip_plan(54, 200, seed=5).signs
-    wide, moved = signs.astype(np.int64), signs.copy()
-    wide[-1, 1], moved[0, 0] = 300, 1
+    wide, moved, padded = signs.astype(np.int64), signs.copy(), signs.copy()
+    wide[-1, 1], moved[0, 0], padded[-1, 1] = 300, 1, 0b11000000
     return {
         "extra row": {"signs": np.vstack((signs, signs[:1]))},  # was a bare IndexError
         "w": {"w": 199},  # ValueError
@@ -151,6 +151,7 @@ def _hand_built_plans():
         "list": {"signs": signs.tolist()},  # AttributeError
         "float n": {"n": 54.0},  # accepted
         "column 0": {"signs": moved},  # accepted, with T_1 moved
+        "padding": {"signs": padded},  # accepted, bits past n ignored
         "mode": {"mode": "bootstrap"},
         "seed": {"seed": -1},
     }
@@ -176,10 +177,10 @@ def test_without_replacement_rejects_w_above_two_to_the_n_for_any_n():
 
 
 def test_distinct_sampler_fills_every_row_when_w_is_two_to_the_n():
-    from signflip.flips import _first_occurrences, _sample_distinct, keyed_rng
+    from signflip.flips import _Reader, _first_occurrences, _key, _sample_distinct
 
     for n in (1, 3, 8, 9):
-        signs = _sample_distinct(keyed_rng(n), n, 2**n)
+        signs = _sample_distinct(_Reader(_key(n, 0)), n, 2**n)
         assert signs.shape == (-(-n // 8), 2**n)
         assert _first_occurrences(signs)[0].size == 2**n
         assert not signs[:, 0].any()
@@ -243,12 +244,12 @@ def test_distinct_sampler_matches_dict_oracle(data):
     picker = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     drawn = []
 
-    def draw_from_pool(rng, n, count):
+    def draw_from_pool(reader, n, count):
         assert len(drawn) < 100, "the sampler keeps drawing"
         drawn.append(pool[:, picker.integers(0, pool.shape[1], count)])
         return drawn[-1]  # the sampler zeroes flip 0 of the first batch in place
 
-    with mock.patch.object(flips, "_random_flips", draw_from_pool):
+    with mock.patch.object(flips, "_draw", draw_from_pool):
         signs = flips._sample_distinct(None, 8 * nb, w)
     first = {}
     for col in np.concatenate(drawn, axis=1).T:
@@ -267,7 +268,7 @@ def test_distinct_sampler_keeps_one_of_two_long_flips_that_share_a_key():
     one[0] = twin[0] = other[1] = 1
     twin[8] = 1
     draws = iter([np.hstack((one, one, twin)), np.hstack((twin, other, one))])
-    with mock.patch.object(flips, "_random_flips", lambda rng, n, count: next(draws)):
+    with mock.patch.object(flips, "_draw", lambda reader, n, count: next(draws)):
         signs = flips._sample_distinct(None, 72, 3)
     assert_array_equal(signs, np.hstack((np.zeros_like(one), one, other)))
     for g in range(3):
@@ -291,6 +292,36 @@ def test_distinct_sampler_stream_is_pinned():
         digest.update(make_flip_plan(n, w, "without-replacement", seed=n + w).signs.tobytes())
     assert digest.hexdigest() == (
         "c06b08deb9022a869a5d6bc9e2c5a07fd4f4320c2bc0ba5eb80e7aba23196dea")
+
+
+def test_distinct_sampler_draws_start_at_whole_words():
+    # each first draw repeats a key and has nb * w % 8 != 0 bytes, so a
+    # next draw that started inside its last word would change the digest
+    digest = hashlib.sha256()
+    for n, w, seed in ((21, 5001, 1), (22, 20001, 3), (30, 70001, 4)):
+        digest.update(make_flip_plan(n, w, "without-replacement", seed).signs.tobytes())
+    assert digest.hexdigest() == (
+        "fd5d609c2bce9e4f1d826ab3940d4980dc01b9f7c34a4e25558aaba7f038666c")
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=21, w=5001, seed=1)  # a repeated key
+@example(n=30, w=70001, seed=4)  # a repeated key, w % 8 != 0
+@example(n=21, w=600, seed=5640)  # a later flip repeats the identity alone
+@example(n=63, w=3, seed=0)  # padding inside the last key byte
+@example(n=200, w=9, seed=2)  # keys of the first 8 of 25 plan bytes
+@given(n=st.integers(21, 80) | st.integers(81, 300), w=st.integers(2, 20000),
+       seed=st.integers(0, 2**64 - 1))
+def test_streamable_is_whether_the_first_draw_has_distinct_keys(n, w, seed):
+    # flip_test streams a without-replacement plan when its first draw,
+    # the with-replacement plan, already has distinct keys
+    from signflip.flips import _keys, streamable
+
+    signs = make_flip_plan(n, w, seed=seed).signs
+    distinct = np.unique(_keys(signs)).size == w
+    assert streamable(n, w, "without-replacement", seed) == distinct
+    if distinct:
+        assert_array_equal(make_flip_plan(n, w, "without-replacement", seed).signs, signs)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 30, 54])
@@ -350,11 +381,12 @@ def test_with_replacement_plan_reads_keyed_stream_byte_major(n):
     chunk=st.sampled_from([7, 8, 33, 16384]),
 )
 def test_streamed_plan_blocks_are_the_plan_columns(n, w, seed, chunk):
-    # flip_test draws a with-replacement plan piece by piece, 8 plan
-    # bytes at a time, from one generator when it is one block of flips
-    # and from one per row when it is longer; stacked, the pieces must be
-    # the plan's columns, padding masked and flip 0 cleared, however the
-    # pieces fall, and a held plan gives one slice per block
+    # flip_test draws a with-replacement plan piece by piece: 8 plan
+    # bytes at a time from one reader when it is one block of flips, and
+    # one row at a time from a reader per row when it is longer; stacked,
+    # the pieces must be the plan's columns, padding masked and flip 0
+    # cleared, however the pieces fall, and a held plan gives one slice
+    # per block
     import signflip.engine as engine
     from signflip.flips import with_replacement_chunks
 
@@ -363,10 +395,14 @@ def test_streamed_plan_blocks_are_the_plan_columns(n, w, seed, chunk):
         size = engine._block_flips(1, n)
     nb = -(-n // 8)
     pieces = [c.copy() for c in with_replacement_chunks(n, w, seed, size)]
-    assert [c.shape for c in pieces] == [
-        (min(8, nb - b0), min(size, w - s))
-        for s in range(0, w, size) for b0 in range(0, nb, 8)]
-    per_block = -(-nb // 8)
+    if w <= size:
+        per_block = -(-nb // 8)
+        assert [c.shape for c in pieces] == [(min(8, nb - b0), w)
+                                             for b0 in range(0, nb, 8)]
+    else:
+        per_block = nb
+        assert [c.shape for c in pieces] == [
+            (1, min(size, w - s)) for s in range(0, w, size) for _ in range(nb)]
     blocks = [np.concatenate(pieces[i : i + per_block])
               for i in range(0, len(pieces), per_block)]
     plan = make_flip_plan(n, w, seed=seed)
@@ -1284,9 +1320,8 @@ def test_long_plans_rebuild_their_tables_for_blocks_of_at_least_1024_flips(
     # bytes alone hold 327 flips, against the 256 table rows built per
     # plan byte; blocks of at least 1024 flips build the tables
     # 2 * ceil(w / 1024) times, where 327 would build them 32 times.  The
-    # streamed plan comes in pieces of at most 8 plan bytes, a flip's key,
-    # which the kernel walks row by row, building each table block at the
-    # plan row that starts it
+    # streamed plan of more than one block comes one plan row per piece,
+    # and the kernel builds each table block at the plan row that starts it
     import signflip.engine as engine
 
     builds, rows = [], []
@@ -1311,7 +1346,7 @@ def test_long_plans_rebuild_their_tables_for_blocks_of_at_least_1024_flips(
     y = rng.poisson(1.0, size=n).astype(float)
     flip_test(y, design, Poisson(), w=w, seed=7)
     assert [len(contribs) for contribs, _ in builds] == [256, 44] * -(-w // 1024)
-    assert rows == [8, 8, 8, 8, 6] * -(-w // 1024)
+    assert rows == [1] * 38 * -(-w // 1024)
 
 
 def test_flip_test_multivariate_paths():
