@@ -4,15 +4,14 @@ Parametric (Rao) effective-score test, HC0 sandwich Wald test,
 quasi-Poisson Wald test with Pearson dispersion, and the one-sample
 t-test.  Everything returns the same TestResult record as the flip
 tests, with method tags identifying the procedure.  Tail probabilities
-come from scipy.special's ndtr, stdtr and chdtrc, the functions behind
-scipy's norm, t and chi2 distributions, so p-values equal theirs bit
-for bit without importing scipy's statistics package.
+come from scipy.special's ndtr, stdtr and chdtrc, imported when a test
+runs, the functions behind scipy's norm, t and chi2 distributions, so
+p-values equal theirs bit for bit without importing scipy.stats.
 """
 
 import math
 
 import numpy as np
-from scipy.special import chdtrc, ndtr, stdtr
 
 from .engine import TestResult
 from .exceptions import DesignError, NumericalError, check_alpha, finite_array, one_of
@@ -66,6 +65,7 @@ def _normal_or_chi2(u, cov, alternative, alpha, method):
     d = 1 gives z = u/sqrt(cov) against the standard normal; d > 1 gives
     u' cov^-1 u against a chi-squared d upper tail (two-sided only).
     """
+    from scipy.special import chdtrc, ndtr
     d = u.shape[0]
     if d == 1:
         var = float(cov[0, 0])
@@ -142,6 +142,7 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05):
     t = (beta_hat - beta0) / sqrt(phi_hat * [ (X'WX)^-1 ]_DD) is referred
     to Student's t on n - k degrees of freedom.
     """
+    from scipy.special import stdtr
     _check_rule(alpha, alternative, "quasi-poisson")
     if family.name != "poisson":
         raise DesignError("quasi_score_test requires the poisson family")
@@ -176,6 +177,7 @@ def one_sample_t(y, mu0=0.0, alternative="two-sided", alpha=0.05):
     sample sd or the statistic in double precision, which raises
     NumericalError rather than a warning.
     """
+    from scipy.special import stdtr
     _check_rule(alpha, alternative, "t-test")
     y = finite_array("y", y, ndim=1)
     mu0 = float(finite_array("mu0", mu0, ndim=0))

@@ -49,7 +49,8 @@ from functools import partial
 import numpy as np
 
 from .exceptions import DesignError, check_alpha, finite_array, one_of
-from .flips import check_plan, make_flip_plan, streamable, with_replacement_chunks
+from .flips import (check_plan, make_flip_plan, require_memory, streamable,
+                    with_replacement_chunks)
 from .glm import fit_null, score_contributions, whiten
 
 __all__ = [
@@ -416,6 +417,7 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     one_of("vhat", vhat, VHATS)
     _check_rule(alpha, alternative)
     n, w, seed = check_plan(design.n, w, mode, seed)
+    require_memory(f"the plan's w={w} flips of n={n} observations", -(-n // 8) * w)
     contribs = _contributions(y, design, family, method, vhat)
     if streamable(n, w, mode, seed):  # drawn piece by piece, never held whole
         chunks = partial(with_replacement_chunks, n, w, seed)

@@ -213,21 +213,20 @@ def _sample_distinct(reader, n, w):
 
 
 def check_plan(n, w, mode="with-replacement", seed=0):
-    """(n, w, seed) as ints, once every check of ``make_flip_plan`` has passed.
+    """(n, w, seed) as ints, once every check of a plan's fields has passed.
 
     Raises DesignError when n, w or seed is not an integer, when n < 1,
-    w < 2 or the seed is outside [0, 2^64), when the plan's w * ceil(n/8)
-    bytes exceed physical memory (a streamed plan of that size would not
-    end either), when
-    without-replacement is asked for more rows than 2^n, or when
-    exhaustive is requested with n > 20 or w != 2^n.
+    w < 2 or the seed is outside [0, 2^64), when without-replacement is
+    asked for more rows than 2^n, or when exhaustive is requested with
+    n > 20 or w != 2^n.  ``make_flip_plan`` and ``flip_test`` check the
+    plan's w * ceil(n/8) bytes against physical memory before any flip is
+    drawn, since a streamed plan past it would not end either.
     """
     n, w, seed = integer("n", n, 1), integer("w", w, 2), integer("seed", seed, 0, SEED_MAX)
     one_of("mode", mode, MODES)
     # w > 2^n, without forming 2^n for a huge n
     if mode == "without-replacement" and (w - 1).bit_length() > n:
         raise DesignError(f"without-replacement needs w <= 2^n, got w={w} for n={n}")
-    require_memory(f"the plan's w={w} flips of n={n} observations", -(-n // 8) * w)
     if mode == "exhaustive":
         if n > _EXHAUSTIVE_MAX_N:
             raise DesignError(
@@ -326,9 +325,10 @@ def streamable(n, w, mode, seed):
 def make_flip_plan(n, w, mode="with-replacement", seed=0):
     """Build the packed plan of w sign vectors for (n, w, mode, seed).
 
-    Raises DesignError as ``check_plan`` does.
+    Raises DesignError as ``check_plan`` does, or if the plan exceeds physical memory.
     """
     n, w, seed = check_plan(n, w, mode, seed)
+    require_memory(f"the plan's w={w} flips of n={n} observations", -(-n // 8) * w)
     if mode == "exhaustive":
         signs = _pack_codes(np.arange(w), n)
     elif mode == "with-replacement":

@@ -4,10 +4,10 @@ The null fit runs IRLS on the nuisance columns only, with the
 hypothesized tested effect absorbed into the offset; the full fit runs
 the same IRLS over all columns.  Convergence uses the relative deviance
 criterion |dev - dev_old| < tol * (|dev| + 0.1) with step-halving on
-deviance increases or invalid means.  All symmetric solves go through a
-Cholesky factorization by LAPACK's dpotrf/dpotrs, called directly, and
-a quadratic form in an inverse, B A^-1 B', is a sum of squares of the
-rows that ``whiten`` returns through the triangular solve dtrtrs.  A
+deviance increases or invalid means.  Every symmetric matrix that is
+solved is first checked by numpy.linalg's Cholesky factorization, and a
+quadratic form in an inverse, B A^-1 B', is a sum of squares of the
+rows that ``whiten`` returns by solving with the Cholesky factor.  A
 matrix that is not positive definite or not finite raises
 NumericalError; explicit matrix inverses are never formed.
 """
@@ -15,7 +15,6 @@ NumericalError; explicit matrix inverses are never formed.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .exceptions import DesignError, NumericalError, finite_array
 
@@ -43,18 +42,18 @@ def cholesky_lower(A):
     """Lower Cholesky factor of A; NumericalError unless finite and positive definite."""
     if not np.isfinite(A).all():
         raise NumericalError("matrix is not positive definite: it holds a NaN or an infinity")
-    L, info = dpotrf(A, lower=1)
-    if info:
-        raise NumericalError(f"matrix is not positive definite: leading minor {info} is not")
-    return L
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise NumericalError("matrix is not positive definite") from None
 
 
 def solve_spd(A, B):
-    """Solve A X = B for symmetric positive-definite A by Cholesky.
+    """Solve A X = B for symmetric positive-definite A.
 
-    LAPACK's dpotrf/dpotrs, as in scipy's cho_factor/cho_solve, without
-    their wrappers.  An empty A gives zeros of B's shape.  Raises
-    NumericalError when A is not positive definite or A or B not finite.
+    ``cholesky_lower`` checks A, then one ``numpy.linalg.solve`` solves
+    it.  An empty A gives zeros of B's shape.  Raises NumericalError when
+    A is not positive definite or A or B not finite.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -62,7 +61,8 @@ def solve_spd(A, B):
         return np.zeros(B.shape)
     if not np.isfinite(B).all():
         raise NumericalError("right-hand side holds a NaN or an infinity")
-    return dpotrs(cholesky_lower(A), B, lower=1)[0]
+    cholesky_lower(A)
+    return np.linalg.solve(A, B)
 
 
 def whiten(A, B):
@@ -70,17 +70,15 @@ def whiten(A, B):
 
     Row i of the result has squared norm B[i] A^-1 B[i]', so a quadratic
     form in A^-1 becomes a sum of squares.  L comes from
-    ``cholesky_lower`` and the triangular solve L X' = B' from LAPACK's
-    dtrtrs.  Raises NumericalError when A is not positive definite or A
-    or B not finite.
+    ``cholesky_lower`` and X from one ``numpy.linalg.solve`` of
+    L X' = B'.  X is returned in row order, as B is given: the flip
+    engine reads it in blocks of rows.  Raises NumericalError when A is
+    not positive definite or A or B not finite.
     """
     B = np.asarray(B, dtype=float)
     if not np.isfinite(B).all():
         raise NumericalError("right-hand side holds a NaN or an infinity")
-    X, info = dtrtrs(cholesky_lower(A), B.T, lower=1)
-    if info:
-        raise NumericalError(f"triangular solve failed: dtrtrs info {info}")
-    return X.T
+    return np.ascontiguousarray(np.linalg.solve(cholesky_lower(A), B.T).T)
 
 
 def _check_conditioned(M, what):
@@ -201,12 +199,12 @@ def _irls(X, y, family, offset):
             coef_try = base + t * step
             eta_try = offset + X @ coef_try
             mu_try = np.asarray(family.b_prime(eta_try), dtype=float)
-            if family.valid_mean(mu_try) and np.all(np.isfinite(eta_try)):
+            if family.valid_mean(mu_try) and np.isfinite(eta_try).all():
                 dev_try = family.deviance(y, mu_try)
                 # fight deviance increases only once a previous iterate
                 # exists; after the smallest step, accept what is valid
                 no_increase = dev_try <= dev + 1e-10 * (abs(dev) + 1.0)
-                if np.isfinite(dev_try) and (
+                if abs(dev_try) < np.inf and (
                     coef is None or no_increase or t <= 2.0**-MAX_HALVINGS
                 ):
                     accepted = True

@@ -51,6 +51,40 @@ def test_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+_FLIP_PATH = """
+import sys
+import numpy as np
+import signflip as sf
+
+t = sf.warpbreaks()
+design = sf.build_design({"wool": t["wool"], "tension": t["tension"]},
+                         tested=["wool"], nuisance=["tension"], intercept=True)
+for method in ("basic", "effective"):
+    sf.flip_test(t["breaks"], design, sf.Poisson(), method=method, w=2000)
+rng = np.random.default_rng(0)
+X = rng.normal(size=(40, 3))
+wide = sf.build_design({"a": X[:, 0], "b": X[:, 1], "c": X[:, 2]},
+                       tested=["a", "b"], nuisance=["c"], intercept=True)
+sf.flip_test(rng.poisson(2.0, size=40).astype(float), wide, sf.Poisson(), w=200,
+             vhat="inv-effective-info")
+sf.fit_null(rng.integers(0, 4, size=40).astype(float), wide, sf.Binomial(trials=3))
+sf.fit_null(rng.normal(size=40), wide, sf.Gaussian())
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+sf.parametric_score_test(t["breaks"], design, sf.Poisson())
+print("scipy.special" in sys.modules,
+      any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in sys.modules))
+"""
+
+
+def test_flip_path_loads_no_scipy_until_a_baseline_runs():
+    src = os.path.dirname(os.path.dirname(signflip.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _FLIP_PATH], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.split("\n")[:2] == ["[]", "True False"]
+
+
 def _scipy_stats_p(statistic, alternative, dist):
     if alternative == "greater":
         return dist.sf(statistic)

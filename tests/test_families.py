@@ -1,8 +1,11 @@
 """Family invariants: links, cumulants, weights as variances, validation."""
 
+import warnings
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.special
+from numpy.testing import assert_allclose, assert_array_max_ulp
 
 from signflip import (
     Binomial,
@@ -14,6 +17,7 @@ from signflip import (
     fit_null,
     flip_test,
 )
+from signflip.families import expit, xlogy
 from oracles import cumulant
 
 FITTING_FAMILIES = [Gaussian(), Poisson(), Binomial(trials=7)]
@@ -146,3 +150,28 @@ def test_family_from_name():
     assert family_from_name("binomial", trials=3).trials == 3
     with pytest.raises(DesignError):
         family_from_name("gamma")
+
+
+# ------------------------------------------------------------------ #
+# expit and xlogy: numpy expressions, scipy.special as the oracle
+# ------------------------------------------------------------------ #
+
+def test_expit_matches_scipy_without_overflow_or_warning():
+    eta = np.array([0.0, 1e-300, 40.0, 709.0, 745.0, 1e308])
+    eta = np.concatenate((eta, -eta))
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        p = expit(eta)
+    assert_array_max_ulp(p, scipy.special.expit(eta), maxulp=2)
+    assert p[0] == 0.5 and p[5] == 1.0 and p[-1] == 0.0
+
+
+def test_xlogy_matches_scipy_and_is_zero_where_x_is():
+    # every y is positive where x is not 0, as in the deviances of a valid fit
+    x = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.5, 7.0, 1e-300, 1e300, 3.0])
+    y = np.array([0.0, 3.0, 1e-300, 1e308, 2.0, 1e-300, 0.5, 1.0, 7.0, 1e308])
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        out = xlogy(x, y)
+    assert_array_max_ulp(out, scipy.special.xlogy(x, y), maxulp=2)
+    assert not out[:4].any()
