@@ -21,14 +21,9 @@ tested columns for byte value v: each plan byte of a flip costs one
 copy of a whole table row, and no dense sign matrix is formed.  The
 flips are summed, scaled and counted in blocks of 16384, fewer when
 d > 4 so that a block's sums stay within the bytes of 16384 rows of
-four.  A block of flips comes in pieces of consecutive plan rows, as
-high as ``flips`` cuts them, and the tables are built in blocks of 32
-plan bytes, each at the plan row where it starts.  ``flip_test`` draws
-a with-replacement plan piece by piece, just before each is summed, so
-it holds one piece of the plan, one block of tables and one block of
-sums whatever n and w are; so does a without-replacement plan with
-n > 20 when it is the with-replacement plan (``flips.streamable``).
-Any other plan is made whole.  A plan of one table block (n <= 256)
+four.  A block of flips comes in pieces, as ``flips`` cuts them, and
+the tables are built in blocks of 32 plan bytes, each at the plan row
+where it starts.  A plan of one table block (n <= 256)
 builds it once, a longer one builds each table block again for each
 block of flips, which holds at least 1024 flips for that reason.  Each
 flip adds its bytes' entries in ascending byte order however the
@@ -43,14 +38,14 @@ nuisance estimation on the flipped statistics.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
-from .exceptions import DesignError, check_alpha, finite_array, one_of
-from .flips import (check_plan, make_flip_plan, require_memory, streamable,
-                    with_replacement_chunks)
+from .exceptions import (DesignError, NumericalError, check_alpha, finite_array, one_of,
+                         real_array)
+from .flips import check_plan, make_flip_plan, require_memory, streamed_chunks
 from .glm import fit_null, score_contributions, whiten
 
 __all__ = [
@@ -95,7 +90,7 @@ def effective_contributions(score_set):
 
 
 def _byte_tables(contribs, width):
-    """Signed partial sums of the contributions, per byte of a packed plan.
+    """Signed sums of each plan byte's 8 contributions, per byte value.
 
     Returns ``tab`` of shape (ceil(n/8), 256, width) with
     ``tab[b, v, c] = sum_k (-1)^bit_k(v) * contribs[8b + k, c]``, the
@@ -157,8 +152,8 @@ def _signed_sums(chunks, contribs):
     costs one gather of whole rows.  ``chunks`` holds the pieces of
     consecutive blocks of flips, the first block as long as any, each
     block as its (r, m) pieces of any heights r in ascending row order,
-    as ``FlipPlan.chunks`` and ``flips.with_replacement_chunks`` give
-    them.  A table block of ``_BYTE_BLOCK`` plan bytes is built at the
+    as ``FlipPlan.chunks`` and a streamed plan of
+    ``flips.streamed_chunks`` give them.  A table block of ``_BYTE_BLOCK`` plan bytes is built at the
     plan row that starts it, so a piece may straddle two, and the
     block's sums are yielded after its last piece; they overwrite the
     last block's, so nothing grows with w, and the tables do not grow
@@ -195,12 +190,15 @@ def _statistics(contribs, n, chunks, quadratic):
     """The scalar or quadratic statistics of each block of flips.
 
     ``chunks(m)`` yields the pieces of a plan of n observations in
-    consecutive blocks of <= m flips, as ``FlipPlan.chunks`` and
-    ``flips.with_replacement_chunks`` do; their heights are the plan's
+    consecutive blocks of <= m flips, as ``FlipPlan.chunks`` and a
+    streamed plan of ``flips.streamed_chunks`` do; their heights are the plan's
     choice, and ``_signed_sums`` builds each table block at its first
-    row whatever they are.
+    row whatever they are.  Every table entry and signed sum is at most
+    n max|c| in size, and a quadratic statistic at most d n max|c|^2:
+    contributions for which a bound passes the double range raise
+    NumericalError before any flip is summed.
     """
-    contribs = finite_array("contributions", contribs)
+    contribs = real_array("contributions", contribs)
     shape = contribs.shape
     if contribs.ndim == 1:
         contribs = contribs[:, None]
@@ -212,6 +210,14 @@ def _statistics(contribs, n, chunks, quadratic):
     d = contribs.shape[1]
     if contribs.shape[0] != n:
         raise DesignError(f"contributions have {contribs.shape[0]} rows, plan has n={n}")
+    # max|c|, not finite when an entry is not: max() is NaN whenever min() is
+    top = max(float(contribs.max()), -float(contribs.min()))
+    if not math.isfinite(top):
+        finite_array("contributions", contribs.reshape(shape))  # raises its DesignError
+    big = sys.float_info.max
+    if n * top > big or quadratic and d * n * top * top > big:
+        raise NumericalError(f"flip sums of n={n} contributions up to {top:.3g} in size "
+                             "can pass the double range")
     root_n = math.sqrt(n)
 
     def statistic(s):
@@ -404,10 +410,9 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     (projected to effective scores unless ``method="basic"``), flips them
     w times and applies the decision rule, counting each block of flips
     as it is summed.  A without-replacement plan's flips have distinct
-    keys: the whole flip for n <= 64, its first 64 signs past that.  A
-    with-replacement plan, and a without-replacement one with n > 20
-    whose first draw already has distinct keys, is drawn a piece at a
-    time, so only that piece of it is held.  A single tested column
+    keys: the whole flip for n <= 64, its first 64 signs past that.  The
+    plan is drawn a piece at a time when ``flips.streamed_chunks`` can
+    draw it so, and made whole otherwise.  A single tested column
     uses the scalar statistic; d > 1 uses the quadratic form with
     ``vhat`` either ``"identity"`` or ``"inv-effective-info"``, the
     latter by whitening the contributions with the effective information
@@ -419,10 +424,8 @@ def flip_test(y, design, family, method="effective", alternative="two-sided-abs"
     n, w, seed = check_plan(design.n, w, mode, seed)
     require_memory(f"the plan's w={w} flips of n={n} observations", -(-n // 8) * w)
     contribs = _contributions(y, design, family, method, vhat)
-    if streamable(n, w, mode, seed):  # drawn piece by piece, never held whole
-        chunks = partial(with_replacement_chunks, n, w, seed)
-    else:  # distinct flips are found in the whole plan
-        chunks = make_flip_plan(n, w, mode=mode, seed=seed).chunks
+    chunks = (streamed_chunks(n, w, mode, seed)
+              or make_flip_plan(n, w, mode=mode, seed=seed).chunks)
     stats = _statistics(contribs, n, chunks, design.d > 1)
     result = _decide(stats, alpha, alternative, None, None, f"flip-{method}")
     return replace(result, w=w, seed=seed)

@@ -14,11 +14,10 @@ Flips come from one counter-based Philox stream keyed by (seed, plan
 stream), each in [0, 2^64), so the plan for a given (n, w, mode, seed)
 is identical regardless of how the downstream statistics are scheduled
 or chunked.  ``_Reader`` reads every byte of it, from any byte on.  A
-with-replacement plan can also be drawn in pieces of one block of flips
-(``with_replacement_chunks``), so the whole plan is never held.  A
-without-replacement plan with n > 20 is that same plan whenever the
-first 8 bytes of its flips, their keys, all differ (``streamable``), so
-it can be drawn the same way.
+plan is streamed, drawn in pieces of one block of flips
+(``with_replacement_chunks``) and never held whole, exactly when it is
+the with-replacement plan of (n, w, seed), which ``streamed_chunks``
+decides; any other plan is made whole by ``make_flip_plan``.
 
 Modes
 -----
@@ -37,6 +36,7 @@ exhaustive
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -296,30 +296,34 @@ def with_replacement_chunks(n, w, seed, size):
             yield out
 
 
-def streamable(n, w, mode, seed):
-    """Whether the checked plan is the with-replacement plan of (n, w, seed).
+def streamed_chunks(n, w, mode, seed):
+    """The checked plan's ``chunks``, drawn a piece at a time, or None.
 
-    A with-replacement plan is.  A without-replacement plan with n > 20
-    is when the first min(8, ceil(n/8)) plan bytes differ between every
-    two of its flips, identity included: ``_sample_distinct`` then keeps
-    its first draw, which is the with-replacement plan.  Plan row b < 8
-    is stream bytes b*w onwards, so one reader reads each row straight
-    into byte b of the flips' 8-byte keys, holding at most 2 bytes per
-    flip more while it reads; at n >= 64 two keys agree with probability
-    about w^2 / 2^65.
+    (n, w, mode, seed) are as ``check_plan`` returns them.  When the plan
+    is the with-replacement plan of (n, w, seed), its ``chunks(size)`` is
+    ``partial(with_replacement_chunks, n, w, seed)``; otherwise None, and
+    the plan must be made whole.  A with-replacement plan is.  A
+    without-replacement plan with n > 20 is when the first
+    min(8, ceil(n/8)) plan bytes differ between every two of its flips,
+    identity included: ``_sample_distinct`` then keeps its first draw,
+    which is the with-replacement plan.  Plan row b < 8 is stream bytes
+    b*w onwards, so one reader reads each row straight into byte b of the
+    flips' 8-byte keys, holding at most 2 bytes per flip more while it
+    reads; at n >= 64 two keys agree with probability about w^2 / 2^65.
     """
-    if mode != "without-replacement":
-        return mode == "with-replacement"
-    if n <= _EXHAUSTIVE_MAX_N:
-        return False
-    reader, keys = _Reader(_key(seed, _PLAN_STREAM)), np.zeros(w, dtype=_WORD)
-    rows = keys.view(np.uint8).reshape(w, _KEY_BYTES).T[: -(-n // 8)]
-    for row in rows:
-        row[:] = reader.read(w)
-    _mask_padding(rows, min(n, 64))  # past n = 64 the key rows hold no padding
-    keys[0] = 0
-    keys.sort()
-    return not np.any(keys[1:] == keys[:-1])
+    if mode == "without-replacement" and n > _EXHAUSTIVE_MAX_N:
+        reader, keys = _Reader(_key(seed, _PLAN_STREAM)), np.zeros(w, dtype=_WORD)
+        rows = keys.view(np.uint8).reshape(w, _KEY_BYTES).T[: -(-n // 8)]
+        for row in rows:
+            row[:] = reader.read(w)
+        _mask_padding(rows, min(n, 64))  # past n = 64 the key rows hold no padding
+        keys[0] = 0
+        keys.sort()
+        if np.any(keys[1:] == keys[:-1]):
+            return None
+    elif mode != "with-replacement":
+        return None
+    return partial(with_replacement_chunks, n, w, seed)
 
 
 def make_flip_plan(n, w, mode="with-replacement", seed=0):

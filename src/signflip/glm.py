@@ -4,7 +4,12 @@ The null fit runs IRLS on the nuisance columns only, with the
 hypothesized tested effect absorbed into the offset; the full fit runs
 the same IRLS over all columns.  Convergence uses the relative deviance
 criterion |dev - dev_old| < tol * (|dev| + 0.1) with step-halving on
-deviance increases or invalid means.  Every symmetric matrix that is
+deviance increases, invalid means or deviances that are not finite.  A
+fit runs with numpy's overflow and invalid-value warnings off: a trial
+step whose mean or deviance overflows is one of these, and its checks
+reject it.  ``information_blocks`` refuses a tested column in the span
+of the nuisance columns with DesignError, or with NumericalError where
+only the fit's weights put it there.  Every symmetric matrix that is
 solved is first checked by numpy.linalg's Cholesky factorization, and a
 quadratic form in an inverse, B A^-1 B', is a sum of squares of the
 rows that ``whiten`` returns by solving with the Cholesky factor.  A
@@ -12,7 +17,7 @@ matrix that is not positive definite or not finite raises
 NumericalError; explicit matrix inverses are never formed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,12 +167,15 @@ class ScoreSet:
         return self.info.i_star
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _irls(X, y, family, offset):
     """IRLS for a canonical-link GLM; returns the Fit.
 
     Works for zero-column X (nothing to fit: the linear predictor is the
     offset).  Raises NumericalError on non-convergence or when
-    step-halving cannot produce a valid mean.
+    step-halving cannot produce a valid mean and a finite deviance.  A
+    trial step may overflow or leave the mean's domain; numpy stays
+    silent, and the validity checks below reject the step instead.
     """
     p = X.shape[1]
     if p == 0:
@@ -199,7 +207,8 @@ def _irls(X, y, family, offset):
             coef_try = base + t * step
             eta_try = offset + X @ coef_try
             mu_try = np.asarray(family.b_prime(eta_try), dtype=float)
-            if family.valid_mean(mu_try) and np.isfinite(eta_try).all():
+            valid = family.valid_mean(mu_try) and np.isfinite(eta_try).all()
+            if valid:
                 dev_try = family.deviance(y, mu_try)
                 # fight deviance increases only once a previous iterate
                 # exists; after the smallest step, accept what is valid
@@ -210,10 +219,9 @@ def _irls(X, y, family, offset):
                     accepted = True
                     break
             t *= 0.5
-        if not accepted:
-            raise NumericalError(
-                "IRLS step-halving failed: fitted mean left the valid range"
-            )
+        if not accepted:  # the smallest step's mean is invalid or its deviance not finite
+            raise NumericalError("IRLS step-halving failed: " + (
+                "the deviance is not finite" if valid else "fitted mean left the valid range"))
 
         coef, eta, mu = coef_try, eta_try, mu_try
         dev_old, dev = dev, dev_try
@@ -256,7 +264,12 @@ def information_blocks(null_fit, design):
     """Partition n^-1 X' W X by (tested, nuisance) and form I*.
 
     Raises NumericalError when the nuisance block is numerically
-    singular (condition estimate above 1e12).
+    singular (condition estimate above 1e12).  A tested column whose
+    diagonal entry of I* is at most that of I11 / COND_LIMIT has
+    effective scores of rounding noise, and is named in a DesignError
+    when it lies in the span of the nuisance columns under unit weights
+    too, and in a NumericalError when only the fit's weights put it there
+    (a fit whose mean vanishes at some observations, say).
     """
     W = null_fit.W_hat
     n = design.n
@@ -270,7 +283,18 @@ def information_blocks(null_fit, design):
     I22 = Z.T @ (W[:, None] * Z) / n
     _check_conditioned(I22, "nuisance information block")
     proj = solve_spd(I22, I12)
-    return InfoBlocks(I11=I11, I12=I12, I22=I22, proj=proj, i_star=I11 - I12.T @ proj)
+    i_star = I11 - I12.T @ proj
+    spanned = i_star.diagonal() <= I11.diagonal() / COND_LIMIT
+    if spanned.any():
+        labels = dict(enumerate(design.columns))
+        names = [labels.get(j, j) for j, s in zip(design.tested, spanned) if s]
+        if np.any(W != 1.0):  # the design's fault, as unit weights show, or the fit's
+            information_blocks(replace(null_fit, W_hat=np.ones(n)), design)
+            raise NumericalError(f"the null fit's weights leave tested columns {names} "
+                                 "no effective information")
+        raise DesignError(f"tested columns {names} lie in the span of the nuisance "
+                          "columns: their effective information is zero")
+    return InfoBlocks(I11=I11, I12=I12, I22=I22, proj=proj, i_star=i_star)
 
 
 def score_contributions(y, null_fit, design, family):

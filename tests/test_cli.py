@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import signflip
-from signflip import RejectionCurve, SCENARIOS, SimConfig, warpbreaks
+from signflip import (RejectionCurve, SCENARIOS, SimConfig, run_scenario, scenario_config,
+                      warpbreaks)
 from signflip.cli import main
 
 
@@ -334,6 +336,42 @@ def test_cmd_simulate_hetero_columns(tmp_path):
     assert rc == 0
     header = out_path.read_text().split("\n", 1)[0]
     assert header == "alpha,Parametric,Flip test"
+
+
+def test_cmd_simulate_meets_fits_whose_trial_steps_overflow(capsys):
+    # a rejected IRLS trial step overflowed exp, which the CLI's
+    # errstate(raise) made fatal: exit 3, "overflow encountered in exp"
+    flags = dict(gamma0_latent=4, reps=30, w=50)
+    rc = main(["simulate", "--scenario", "multivariate",
+               *(f"--{k.replace('_', '-')}={v}" for k, v in flags.items())])
+    err = capsys.readouterr().err
+    assert rc == 0
+    curve = run_scenario(scenario_config("multivariate", **flags))
+    i = [round(a, 12) for a in curve.alpha].index(0.05)
+    assert "alpha=0.05: " + "  ".join(
+        f"{m}={rates[i]:.4f}" for m, rates in curve.rates.items()) in err
+
+
+def test_cmd_simulate_reports_the_repetitions_it_excluded(capsys):
+    # a latent effect of 12 gives Poisson means too large to draw from in
+    # some repetitions; which ones depends on numpy's Generator streams
+    rc = main(["simulate", "--scenario", "ignored-latent", "--gamma0-latent", "12",
+               "--reps", "30", "--w", "50"])
+    err = capsys.readouterr().err
+    assert rc == 0
+    line = re.search(r"^excluded (\d+) failed repetition\(s\): (\d+(?:,\d+)*)$", err, re.M)
+    assert line and int(line[1]) >= 1
+    assert len(line[2].split(",")) == int(line[1])
+
+
+def test_cmd_simulate_flip_sums_that_overflow_fail_their_repetition(capsys):
+    # at n = 709 the flip sums overflowed inside the table build, and the
+    # CLI's errstate(raise) let that escape the per-repetition handler; a
+    # repetition whose normal draws overflow fails before its flips
+    rc = main(["simulate", "--scenario", "hetero-t", "--n", "709", "--reps", "20",
+               "--w", "50"])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure: every repetition failed to fit\n"
 
 
 def test_cmd_simulate_unknown_scenario(capsys):

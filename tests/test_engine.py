@@ -315,11 +315,11 @@ def test_distinct_sampler_draws_start_at_whole_words():
 def test_streamable_is_whether_the_first_draw_has_distinct_keys(n, w, seed):
     # flip_test streams a without-replacement plan when its first draw,
     # the with-replacement plan, already has distinct keys
-    from signflip.flips import _keys, streamable
+    from signflip.flips import _keys, streamed_chunks
 
     signs = make_flip_plan(n, w, seed=seed).signs
     distinct = np.unique(_keys(signs)).size == w
-    assert streamable(n, w, "without-replacement", seed) == distinct
+    assert (streamed_chunks(n, w, "without-replacement", seed) is not None) == distinct
     if distinct:
         assert_array_equal(make_flip_plan(n, w, "without-replacement", seed).signs, signs)
 
@@ -1185,16 +1185,46 @@ def test_flip_test_checks_its_rule_before_the_fit_and_the_plan(monkeypatch):
             flip_test(y, design, Gaussian(), **{"w": 10**8, **bad})
 
 
+def test_flip_sums_past_the_double_range_are_a_numerical_error_before_any_flip_is_summed(
+        monkeypatch):
+    # 8 contributions of 1e308 summed to inf with an overflow warning, and
+    # p_value then refused the NaN statistics as a DesignError
+    import signflip.engine as engine
+
+    plan, big = make_flip_plan(8, 16, seed=1), np.finfo(float).max
+    # at the bounds n max|c| and d n max|c|^2 every sum stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(flip_statistics_scalar(np.full(8, big / 8), plan)).all()
+        assert np.isfinite(flip_statistics_quadratic(np.full((8, 2), 2.0**509), plan)).all()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a flip was summed")
+
+    monkeypatch.setattr(engine, "_signed_sums", unreachable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: flip_statistics_scalar(np.full(8, 1e308), plan),
+                    lambda: flip_statistics_scalar(np.r_[np.zeros(7), -big / 4], plan),
+                    lambda: flip_statistics_quadratic(np.full((8, 2), 1e154), plan)):
+            with pytest.raises(NumericalError, match="can pass the double range"):
+                run()
+        # non-finite contributions stay an input error
+        with pytest.raises(DesignError, match="contributions must be finite"):
+            flip_statistics_scalar(np.r_[np.zeros(7), np.inf], plan)
+
+
 def test_flip_test_refuses_a_plan_past_memory_before_any_flip_is_drawn(monkeypatch):
     # a streamed plan holds one block, but w * ceil(n/8) bytes past
     # physical memory would take a run that does not end: it is refused
     # as make_flip_plan refuses it, before the first block is drawn
     import signflip.engine as engine
+    import signflip.flips as flips
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a flip was drawn or summed")
 
-    monkeypatch.setattr(engine, "with_replacement_chunks", unreachable)
+    monkeypatch.setattr(flips, "with_replacement_chunks", unreachable)
     monkeypatch.setattr(engine, "_signed_sums", unreachable)
     table = warpbreaks()
     design = build_design({"wool": table["wool"], "tension": table["tension"]},
@@ -1323,6 +1353,7 @@ def test_long_plans_rebuild_their_tables_for_blocks_of_at_least_1024_flips(
     # streamed plan of more than one block comes one plan row per piece,
     # and the kernel builds each table block at the plan row that starts it
     import signflip.engine as engine
+    import signflip.flips as flips
 
     builds, rows = [], []
 
@@ -1335,9 +1366,9 @@ def test_long_plans_rebuild_their_tables_for_blocks_of_at_least_1024_flips(
             rows.append(piece.shape[0])
             yield piece
 
-    tables, stream = engine._byte_tables, engine.with_replacement_chunks
+    tables, stream = engine._byte_tables, flips.with_replacement_chunks
     monkeypatch.setattr(engine, "_byte_tables", counted)
-    monkeypatch.setattr(engine, "with_replacement_chunks", pieces)
+    monkeypatch.setattr(flips, "with_replacement_chunks", pieces)
     n, d, w = 300, 200, 5000
     rng = np.random.default_rng(113)
     X = rng.normal(size=(n, d))

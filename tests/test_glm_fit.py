@@ -1,5 +1,7 @@
 """Null/full IRLS fits against closed forms and an independent oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,8 @@ from signflip import (
     build_design,
     fit_full,
     fit_null,
+    run_scenario,
+    scenario_config,
     warpbreaks,
 )
 from oracles import textbook_irls_gaussian, textbook_irls_poisson
@@ -67,6 +71,53 @@ def test_null_fit_ignores_tested_column_when_null_value_zero():
     fit_b = fit_null(y, real_col, fam)
     assert_allclose(fit_a.coef, fit_b.coef, rtol=1e-12)
     assert_allclose(fit_a.deviance, fit_b.deviance, rtol=1e-12)
+
+
+def test_irls_steps_that_overflow_end_in_a_numerical_error_without_a_warning():
+    # a 1e160 response overflowed the gaussian deviance, with 21 warnings,
+    # and the error blamed the mean; an offset of 800 overflowed exp
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        design = build_design({"x": x}, tested=["x"], intercept=True)
+        with pytest.raises(NumericalError, match="the deviance is not finite"):
+            fit_null(1e160 * rng.normal(size=30), design, Gaussian())
+        design = build_design({"x": x}, tested=["x"], intercept=False,
+                              offset=np.full(30, 800.0))
+        with pytest.raises(NumericalError, match="offset-only predictor"):
+            fit_null(np.ones(30), design, Poisson())
+
+
+def test_irls_trial_steps_that_overflow_are_rejected_without_a_warning():
+    # in this scenario a rejected trial step of fit_full, reached through
+    # sandwich_wald_test, overflowed Poisson.b_prime with a warning
+    config = scenario_config("multivariate", gamma0_latent=4, reps=30, w=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = run_scenario(config)
+    assert not curve.failures
+
+
+def test_irls_that_does_not_converge_is_a_numerical_error(monkeypatch):
+    import signflip.glm as glm
+
+    monkeypatch.setattr(glm, "MAX_ITER", 1)
+    table = warpbreaks()
+    design = build_design({"wool": table["wool"], "tension": table["tension"]},
+                          tested=["wool"], nuisance=["tension"], intercept=True)
+    with pytest.raises(NumericalError, match="IRLS did not converge in 1 iterations"):
+        fit_null(table["breaks"], design, Poisson())
+
+
+def test_full_fit_of_a_design_with_a_repeated_column_is_refused():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=20)
+    design = DesignMatrix(X=np.column_stack([np.ones(20), x, x]),
+                          columns=("(intercept)", "x", "x again"), tested=(2,),
+                          null_value=[0.0])
+    with pytest.raises(DesignError, match="rank deficient for the full fit"):
+        fit_full(rng.poisson(1.0, size=20).astype(float), design, Poisson())
 
 
 def test_full_fit_gaussian_equals_ols():

@@ -262,6 +262,58 @@ def test_singular_effective_information_never_becomes_a_p_value(n, d, seed):
                 run()
 
 
+@pytest.mark.parametrize("shift", [1.0, 0.0])
+def test_a_tested_column_in_the_span_of_the_nuisance_columns_is_refused(shift):
+    # x = (z - shift) / 2: its effective scores were rounding noise of
+    # 2e-15, which the flip tests flipped to p = 0.77, and I* = 9e-16
+    # passed the parametric test's 1x1 check (p = 1.0); with z = 2x the
+    # parametric test ended in a NumericalError instead
+    rng = np.random.default_rng(0)
+    n = 200
+    x = rng.normal(size=n)
+    y = rng.poisson(np.exp(0.3 * x)).astype(float)
+    fam = Poisson()
+    design = build_design({"x": x, "z": 2 * x + shift}, tested=["x"], nuisance=["z"],
+                          intercept=True)
+    fit = fit_null(y, design, fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (
+            lambda: information_blocks(fit, design),
+            lambda: flip_test(y, design, fam, w=200, seed=0),
+            lambda: flip_test(y, design, fam, w=200, seed=1),
+            lambda: flip_test(y, design, fam, w=200, method="basic"),
+            lambda: parametric_score_test(y, design, fam),
+        ):
+            with pytest.raises(DesignError, match=r"\['x'\] lie in the span of the nuisance"):
+                run()
+    # a hand-built design that repeats a column is refused by name
+    repeated = DesignMatrix(X=np.column_stack([np.ones(n), x, x]),
+                            columns=("(intercept)", "x", "x again"), tested=(2,),
+                            null_value=[0.0])
+    with pytest.raises(DesignError, match=r"\['x again'\] lie in the span"):
+        flip_test(y, repeated, fam, w=200)
+    # a column near the span, but not in it, is tested as before
+    near = build_design({"x": x, "z": 2 * x + 1e-4 * rng.normal(size=n)}, tested=["x"],
+                        nuisance=["z"], intercept=True)
+    assert 0.0 < flip_test(y, near, fam, w=200).p_value <= 1.0
+
+
+def test_a_tested_column_that_only_the_weights_put_in_the_span_is_a_numerical_failure():
+    # a null fit whose mean all but vanishes at an observation (a Poisson
+    # MLE at infinity, say) leaves x = (1, 1, 5) the intercept on the rest
+    X = np.column_stack([np.ones(3), [0.0, 1.0, 2.0], [1.0, 1.0, 5.0]])
+    design = DesignMatrix(X=X, columns=("(intercept)", "z", "x"), tested=(2,),
+                          null_value=[0.0])
+    fit = Fit(coef=np.zeros(2), mu_hat=np.ones(3), W_hat=np.array([1.0, 1.0, 1e-14]),
+              deviance=0.0, iterations=1, converged=True)
+    with pytest.raises(NumericalError, match=r"weights leave tested columns \['x'\]"):
+        information_blocks(fit, design)
+    fit = Fit(coef=np.zeros(2), mu_hat=np.ones(3), W_hat=np.ones(3), deviance=0.0,
+              iterations=1, converged=True)
+    assert information_blocks(fit, design).i_star[0, 0] > 0.1
+
+
 def test_ill_conditioned_effective_information_is_a_numerical_failure():
     # k <= n, but the two tested columns are nearly collinear
     rng = np.random.default_rng(71)
