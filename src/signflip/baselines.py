@@ -3,7 +3,11 @@
 Parametric (Rao) effective-score test, HC0 sandwich Wald test,
 quasi-Poisson Wald test with Pearson dispersion, and the one-sample
 t-test.  Everything returns the same TestResult record as the flip
-tests, with method tags identifying the procedure.  Tail probabilities
+tests, with method tags identifying the procedure.  A d > 1 statistic
+is the squared norm of the ``glm.whiten`` row of its d-vector, the
+covariance having been checked with ``glm.check_conditioned`` where it
+was formed: I* in ``ScoreSet.effective_information``, the sandwich's
+tested block in ``sandwich_wald_test``.  Tail probabilities
 come from scipy.special's ndtr, stdtr and chdtrc, imported when a test
 runs, the functions behind scipy's norm, t and chi2 distributions, so
 p-values equal theirs bit for bit without importing scipy.stats.
@@ -16,11 +20,13 @@ import numpy as np
 from .engine import TestResult
 from .exceptions import DesignError, NumericalError, check_alpha, finite_array, one_of
 from .glm import (
+    check_conditioned,
     check_response,
     fit_full,
     fit_null,
     score_contributions,
     solve_spd,
+    whiten,
 )
 
 __all__ = [
@@ -63,37 +69,33 @@ def _normal_or_chi2(u, cov, alternative, alpha, method):
     """Refer the d-vector u with covariance cov to its null reference.
 
     d = 1 gives z = u/sqrt(cov) against the standard normal; d > 1 gives
-    u' cov^-1 u against a chi-squared d upper tail (two-sided only).
+    u' cov^-1 u, the squared norm of ``whiten(cov, u)``, against a
+    chi-squared d upper tail (two-sided only).  The caller has checked
+    cov with ``check_conditioned`` where it formed it.
     """
     from scipy.special import chdtrc, ndtr
     d = u.shape[0]
     if d == 1:
-        var = float(cov[0, 0])
-        if not var > 0:
-            raise NumericalError(f"{method} variance is not positive")
-        statistic = float(u[0]) / np.sqrt(var)
+        statistic = float(u[0]) / math.sqrt(float(cov[0, 0]))
         p = _tail_p(statistic, alternative, ndtr)
     else:
-        statistic = float(u @ solve_spd(cov, u))
-        # chi2.sf is 1 below 0, where chdtrc gives NaN
-        p = float(chdtrc(d, max(statistic, 0.0)))
+        statistic = float(np.square(whiten(cov, u[None, :])).sum())
+        p = float(chdtrc(d, statistic))
     return _result(statistic, p, alpha, alternative, method)
 
 
 def sandwich_estimate(y, full_fit, design, family):
     """HC0 robust covariance matrix of the full-fit coefficients.
 
-    Returns bread^-1 meat bread^-1 with bread X'WX (applied only through
-    solves) and meat sum_i u_i u_i', u_i the score contribution rows of
-    the full fit.  ``y`` is checked as the fits check a response.
+    Returns bread^-1 meat bread^-1 with bread X'WX and meat U'U, U the
+    score contribution rows of the full fit, as A A' with A = bread^-1 U'
+    from one solve.  ``y`` is checked as the fits check a response.
     """
     X = design.X
     xtwx = X.T @ (full_fit.W_hat[:, None] * X)
     resid = check_response(y, design, family) - full_fit.mu_hat
-    U = X * resid[:, None]
-    tmp = solve_spd(xtwx, U.T @ U)       # bread^-1 meat
-    vcov = solve_spd(xtwx, tmp.T).T      # bread^-1 meat bread^-1
-    return 0.5 * (vcov + vcov.T)
+    A = solve_spd(xtwx, (X * resid[:, None]).T)
+    return A @ A.T
 
 
 def rao_test(scores, alternative="two-sided", alpha=0.05):
@@ -131,8 +133,9 @@ def sandwich_wald_test(y, design, family, alternative="two-sided", alpha=0.05):
     vcov = sandwich_estimate(y, full_fit, design, family)
     idx = list(design.tested)
     delta = full_fit.coef[idx] - design.null_value
-    return _normal_or_chi2(delta, vcov[np.ix_(idx, idx)], alternative, alpha,
-                           "sandwich-wald")
+    cov = vcov[np.ix_(idx, idx)]
+    check_conditioned(cov, "sandwich covariance of the tested coefficients")
+    return _normal_or_chi2(delta, cov, alternative, alpha, "sandwich-wald")
 
 
 def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05):
@@ -163,7 +166,7 @@ def quasi_score_test(y, design, family, alternative="two-sided", alpha=0.05):
     bread_dd = float(solve_spd(xtwx, np.eye(design.k)[j])[j])
     if not bread_dd > 0:
         raise NumericalError("model-based variance of the tested coefficient is not positive")
-    se = np.sqrt(dispersion * bread_dd)
+    se = math.sqrt(dispersion * bread_dd)
     t = float(full_fit.coef[j] - design.null_value[0]) / se
     df = design.n - design.k
     p = _tail_p(t, alternative, lambda x: stdtr(df, x))

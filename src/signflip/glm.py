@@ -13,8 +13,10 @@ only the fit's weights put it there.  Every symmetric matrix that is
 solved is first checked by numpy.linalg's Cholesky factorization, and a
 quadratic form in an inverse, B A^-1 B', is a sum of squares of the
 rows that ``whiten`` returns by solving with the Cholesky factor.  A
-matrix that is not positive definite or not finite raises
-NumericalError; explicit matrix inverses are never formed.
+matrix that is not positive definite or not finite, or a solve that
+meets an exact zero pivot, raises NumericalError; explicit matrix
+inverses are never formed.  A covariance that a test inverts is checked
+by ``check_conditioned`` where it is formed.
 """
 
 from dataclasses import dataclass, replace
@@ -34,6 +36,7 @@ __all__ = [
     "cholesky_lower",
     "solve_spd",
     "whiten",
+    "check_conditioned",
     "check_response",
 ]
 
@@ -67,7 +70,7 @@ def solve_spd(A, B):
     if not np.isfinite(B).all():
         raise NumericalError("right-hand side holds a NaN or an infinity")
     cholesky_lower(A)
-    return np.linalg.solve(A, B)
+    return _solve(A, B)
 
 
 def whiten(A, B):
@@ -83,15 +86,28 @@ def whiten(A, B):
     B = np.asarray(B, dtype=float)
     if not np.isfinite(B).all():
         raise NumericalError("right-hand side holds a NaN or an infinity")
-    return np.ascontiguousarray(np.linalg.solve(cholesky_lower(A), B.T).T)
+    return np.ascontiguousarray(_solve(cholesky_lower(A), B.T).T)
 
 
-def _check_conditioned(M, what):
-    """Raise NumericalError unless symmetric M is positive definite.
+def _solve(A, B):
+    """``numpy.linalg.solve``; NumericalError where its LU solve meets a zero pivot.
+
+    ``cholesky_lower`` can pass a rank-deficient matrix on rounding.
+    """
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        raise NumericalError("matrix is not positive definite: it is singular") from None
+
+
+def check_conditioned(M, what):
+    """Raise NumericalError unless symmetric M is finite and positive definite.
 
     Its condition number must also be at most COND_LIMIT.  An empty M
     passes.
     """
+    if not np.isfinite(M).all():
+        raise NumericalError(f"{what} holds a NaN or an infinity")
     if M.size:
         evals = np.linalg.eigvalsh(M)
         if evals[0] <= 0 or evals[-1] / evals[0] > COND_LIMIT:
@@ -163,7 +179,7 @@ class ScoreSet:
                 f"the effective information of d={d} tested columns is singular: "
                 f"the design has k={k} columns for n={n} observations"
             )
-        _check_conditioned(self.info.i_star, "effective information")
+        check_conditioned(self.info.i_star, "effective information")
         return self.info.i_star
 
 
@@ -281,7 +297,7 @@ def information_blocks(null_fit, design):
     I12 = Z.T @ WXD / n
     del WXD
     I22 = Z.T @ (W[:, None] * Z) / n
-    _check_conditioned(I22, "nuisance information block")
+    check_conditioned(I22, "nuisance information block")
     proj = solve_spd(I22, I12)
     i_star = I11 - I12.T @ proj
     spanned = i_star.diagonal() <= I11.diagonal() / COND_LIMIT

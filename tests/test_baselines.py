@@ -20,6 +20,7 @@ from signflip import (
     Poisson,
     build_design,
     fit_full,
+    flip_test,
     one_sample_t,
     parametric_score_test,
     quasi_score_test,
@@ -30,6 +31,7 @@ from signflip import (
     fit_null,
 )
 from signflip.baselines import _tail_p
+from signflip.engine import FLIP_METHODS
 from signflip.glm import solve_spd
 from oracles import t_two_sided_p_quadrature
 
@@ -219,6 +221,28 @@ def test_alpha_outside_unit_interval_rejected(method, alpha):
     }[method]
     with pytest.raises(DesignError, match=r"alpha must be in \(0, 1\)"):
         run()
+
+
+def test_every_method_returns_python_floats():
+    t = signflip.warpbreaks()
+    y, fam = t["breaks"], Poisson()
+    design = build_design({"wool": t["wool"], "tension": t["tension"]},
+                          tested=["wool"], nuisance=["tension"], intercept=True)
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(40, 3))
+    wide = build_design({"a": X[:, 0], "b": X[:, 1], "c": X[:, 2]},
+                        tested=["a", "b"], nuisance=["c"], intercept=True)
+    y_wide = rng.poisson(2.0, size=40).astype(float)
+    results = [
+        *(test(y, design, fam)
+          for test in (parametric_score_test, sandwich_wald_test, quasi_score_test)),
+        *(test(y_wide, wide, fam) for test in (parametric_score_test, sandwich_wald_test)),
+        *(flip_test(y, design, fam, method=m, w=200) for m in FLIP_METHODS),
+        one_sample_t(y),
+    ]
+    for res in results:
+        assert type(res.statistic) is float, res.method
+        assert type(res.p_value) is float, res.method
 
 
 # ------------------------------------------------------------------ #

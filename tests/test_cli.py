@@ -352,11 +352,16 @@ def test_cmd_simulate_meets_fits_whose_trial_steps_overflow(capsys):
         f"{m}={rates[i]:.4f}" for m, rates in curve.rates.items()) in err
 
 
-def test_cmd_simulate_reports_the_repetitions_it_excluded(capsys):
-    # a latent effect of 12 gives Poisson means too large to draw from in
-    # some repetitions; which ones depends on numpy's Generator streams
-    rc = main(["simulate", "--scenario", "ignored-latent", "--gamma0-latent", "12",
-               "--reps", "30", "--w", "50"])
+@pytest.mark.parametrize("argv", [
+    # a latent effect of 12 gives Poisson means too large to draw from
+    ["--scenario", "ignored-latent", "--gamma0-latent", "12", "--reps", "30", "--w", "50"],
+    # at n = 12 the d = 5 sandwich block is numerically singular; its solve
+    # ended the run in a bare LinAlgError before
+    ["--scenario", "multivariate", "--n", "12", "--reps", "89", "--w", "50"],
+], ids=["poisson-draws", "singular-sandwich"])
+def test_cmd_simulate_reports_the_repetitions_it_excluded(capsys, argv):
+    # some repetitions fail; which ones depends on numpy's Generator streams
+    rc = main(["simulate", *argv])
     err = capsys.readouterr().err
     assert rc == 0
     line = re.search(r"^excluded (\d+) failed repetition\(s\): (\d+(?:,\d+)*)$", err, re.M)

@@ -24,7 +24,7 @@ from signflip import (
     rao_test,
     score_contributions,
 )
-from signflip.glm import solve_spd
+from signflip.glm import check_conditioned, solve_spd
 from oracles import fd_gradient, info_elementwise, log_likelihood
 
 
@@ -190,15 +190,19 @@ def test_information_singular_nuisance_block_errors():
         np.array([[2.0, np.nan], [np.nan, 2.0]]),
         np.array([[np.inf, 0.0], [0.0, 1.0]]),
         np.array([[1.0, 0.0], [-np.inf, 1.0]]),
+        # B B' of rank 2, B = [[.5, -.5], [.5, 0], [-1.5, 1]]: its Cholesky
+        # factorization succeeds on rounding, and the LU solve meets an exact
+        # zero pivot (a bare LinAlgError before)
+        np.array([[0.5, 0.25, -1.25], [0.25, 0.25, -0.75], [-1.25, -0.75, 3.25]]),
     ],
     ids=["singular", "indefinite", "nan-diagonal", "nan-off-diagonal", "inf-diagonal",
-         "inf-lower-triangle"],
+         "inf-lower-triangle", "rank-deficient-past-cholesky"],
 )
 def test_solve_spd_refuses_matrices_that_are_not_positive_definite(A):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="not positive definite"):
-            solve_spd(A, np.ones(2))
+            solve_spd(A, np.ones(len(A)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -207,6 +211,19 @@ def test_solve_spd_refuses_a_right_hand_side_that_is_not_finite(bad):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="NaN or an infinity"):
             solve_spd(np.eye(2), np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize(
+    "M",
+    [np.array([[np.nan]]), np.array([[np.inf]]), np.array([[2.0, 0.0], [0.0, np.nan]])],
+    ids=["nan", "inf", "nan-in-2x2"],
+)
+def test_check_conditioned_refuses_matrices_that_are_not_finite(M):
+    # an eigenvalue test alone passed NaN silently and +inf with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="covariance holds a NaN or an infinity"):
+            check_conditioned(M, "covariance")
 
 
 def test_solve_spd_matches_scipy_cho_solve_to_rounding():
